@@ -2,49 +2,104 @@
 
 #include <sys/resource.h>
 
-#include <cstring>
+#include <charconv>
+#include <cstdlib>
+#include <limits>
+#include <optional>
+#include <string_view>
 
+#include "fleet/user_world.h"
 #include "util/strings.h"
 
 namespace simba::bench {
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: %s [--seed N] [--n N] [--users N] [--threads N]\n"
+    "       [--trace-jsonl PATH] [--json PATH] [--epochs N]\n"
+    "       [--checkpoint-every N] [--stop-at-checkpoint]\n"
+    "       [--checkpoint-path PATH] [--resume-from PATH]\n";
+
+[[noreturn]] void usage_error(const char* program,
+                              const std::string& problem) {
+  std::fprintf(stderr, "%s: %s\n", program, problem.c_str());
+  std::fprintf(stderr, kUsage, program);
+  std::exit(2);
+}
+
+/// The whole of `text` as a decimal in [0, max], or nullopt.
+std::optional<std::uint64_t> parse_count(std::string_view text,
+                                         std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc() || stop != end || value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+}  // namespace
+
 Options Options::parse(int argc, char** argv) {
   Options options;
-  // Accepts "--flag=value" and "--flag value"; returns nullptr when
-  // `arg` is not `flag`, advancing `i` when the value is a separate
-  // argv entry.
-  auto value_of = [&](const char* arg, const char* flag,
-                      int& i) -> const char* {
-    const std::size_t len = std::strlen(flag);
-    if (std::strncmp(arg, flag, len) != 0) return nullptr;
-    if (arg[len] == '=') return arg + len + 1;
-    if (arg[len] == '\0' && i + 1 < argc) return argv[++i];
-    return nullptr;
-  };
+  const char* program = argc > 0 ? argv[0] : "bench";
+  const std::pair<std::string_view, int*> counts[] = {
+      {"--n", &options.n},
+      {"--users", &options.users},
+      {"--threads", &options.threads},
+      {"--epochs", &options.epochs},
+      {"--checkpoint-every", &options.checkpoint_every}};
+  const std::pair<std::string_view, std::string*> texts[] = {
+      {"--trace-jsonl", &options.trace_jsonl},
+      {"--json", &options.json},
+      {"--checkpoint-path", &options.checkpoint_path},
+      {"--resume-from", &options.resume_from}};
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (const char* v = value_of(arg, "--seed", i)) {
-      options.seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value_of(arg, "--n", i)) {
-      options.n = static_cast<int>(std::strtol(v, nullptr, 10));
-    } else if (const char* v = value_of(arg, "--users", i)) {
-      options.users = static_cast<int>(std::strtol(v, nullptr, 10));
-    } else if (const char* v = value_of(arg, "--threads", i)) {
-      options.threads = static_cast<int>(std::strtol(v, nullptr, 10));
-    } else if (const char* v = value_of(arg, "--trace-jsonl", i)) {
-      options.trace_jsonl = v;
-    } else if (const char* v = value_of(arg, "--json", i)) {
-      options.json = v;
-    } else if (const char* v = value_of(arg, "--epochs", i)) {
-      options.epochs = static_cast<int>(std::strtol(v, nullptr, 10));
-    } else if (const char* v = value_of(arg, "--checkpoint-every", i)) {
-      options.checkpoint_every = static_cast<int>(std::strtol(v, nullptr, 10));
-    } else if (const char* v = value_of(arg, "--checkpoint-path", i)) {
-      options.checkpoint_path = v;
-    } else if (const char* v = value_of(arg, "--resume-from", i)) {
-      options.resume_from = v;
-    } else if (std::strcmp(arg, "--stop-at-checkpoint") == 0) {
+    // "--flag=value" or "--flag value".
+    std::string_view flag = argv[i];
+    std::optional<std::string_view> value;
+    if (const std::size_t eq = flag.find('='); eq != std::string_view::npos) {
+      value = flag.substr(eq + 1);
+      flag = flag.substr(0, eq);
+    }
+    if (flag == "--stop-at-checkpoint" && !value) {
       options.stop_at_checkpoint = true;
+      continue;
+    }
+    int* count = nullptr;
+    std::string* text = nullptr;
+    for (const auto& [name, field] : counts) {
+      if (flag == name) count = field;
+    }
+    for (const auto& [name, field] : texts) {
+      if (flag == name) text = field;
+    }
+    if (count == nullptr && text == nullptr && flag != "--seed") {
+      usage_error(program, "unknown flag " + std::string(argv[i]));
+    }
+    if (!value) {
+      if (i + 1 == argc) {
+        usage_error(program, std::string(flag) + " needs a value");
+      }
+      value = argv[++i];
+    }
+    if (text != nullptr) {
+      *text = *value;
+      continue;
+    }
+    const std::optional<std::uint64_t> number = parse_count(
+        *value, count != nullptr ? std::numeric_limits<int>::max()
+                                 : std::numeric_limits<std::uint64_t>::max());
+    if (!number) {
+      usage_error(program, "bad value '" + std::string(*value) + "' for " +
+                               std::string(flag));
+    }
+    if (count != nullptr) {
+      *count = static_cast<int>(*number);
+    } else {
+      options.seed = *number;
     }
   }
   return options;
@@ -112,43 +167,13 @@ ExperimentWorld::ExperimentWorld(std::uint64_t seed)
       im_server(sim, bus),
       email_server(sim),
       sms_gateway(sim, "sms.example.net") {
-  // IM hop: corporate network + IM service; 150-450 ms per hop gives
-  // the paper's sub-second one-way time over the two-hop path.
-  net::LinkModel im_link;
-  im_link.base_latency = millis(150);
-  im_link.jitter = millis(300);
-  im_link.loss_probability = 0.001;
-  bus.set_default_link(im_link);
-
-  // Email: mostly seconds-to-a-minute, 5% multi-hour tail reaching
-  // days, a little silent loss — Section 3.1's "seconds to days".
-  email::EmailDelayModel mail;
-  mail.fast_probability = 0.95;
-  mail.fast_median = seconds(20);
-  mail.fast_sigma = 1.0;
-  mail.slow_median = hours(2);
-  mail.slow_sigma = 1.4;
-  mail.loss_probability = 0.003;
-  email_server.set_delay_model(mail);
-
-  // SMS: "a similar range of unpredictability" per the paper.
-  sms::SmsDelayModel sms_model;
-  sms_model.fast_probability = 0.90;
-  sms_model.fast_median = seconds(18);
-  sms_model.fast_sigma = 0.9;
-  sms_model.slow_median = minutes(45);
-  sms_model.slow_sigma = 1.3;
-  sms_model.loss_probability = 0.01;
-  sms_gateway.set_delay_model(sms_model);
+  fleet::apply_channel_models(fleet::ModelFidelity::kCalibrated, bus,
+                              email_server, sms_gateway);
   sms_gateway.attach_to(email_server);
 }
 
 core::MabOptions experiment_mab_options() {
-  core::MabOptions options;
-  options.processing_delay = millis(900);
-  options.leak_mb_per_hour = 2.0;
-  options.leak_mb_per_alert = 0.05;
-  return options;
+  return fleet::calibrated_mab_options();
 }
 
 gui::FaultProfile buddy_im_client_profile() {

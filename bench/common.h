@@ -33,11 +33,13 @@ namespace simba::bench {
 
 /// Command-line: --seed, --n (workload size), --users, --threads,
 /// --trace-jsonl, and --json, each accepted as "--flag=V" or
-/// "--flag V", in any order; unknown flags are ignored so harness
-/// wrappers can pass extras. The checkpoint/resume flags switch the
-/// benches that support them (bench_portal_scale, bench_fault_month)
-/// into the resumable fleet driver (fleet/resume.h); without any of
-/// them the legacy single-run output is byte-identical to before.
+/// "--flag V", in any order. An unknown flag, or a missing,
+/// unparsable, or negative value, prints usage and exits with status
+/// 2, so no flag is ever silently misread. The checkpoint/resume flags
+/// switch the benches that support them (bench_portal_scale,
+/// bench_fault_month) into the resumable fleet driver
+/// (fleet/resume.h); without any of them the legacy single-run output
+/// is byte-identical to before.
 struct Options {
   std::uint64_t seed = 42;
   int n = 0;        // 0 = bench-specific default

@@ -10,7 +10,8 @@
 // submit to its terminal state and the shard exports the conservation
 // report through the ShardResult counters — so `run_fleet` can sweep a
 // scenario x seed matrix whose merged `correctness_json()` is
-// bit-identical for any thread count.
+// bit-identical for any thread count. The one workload driver in
+// fleet/resume.{h,cc} generates the arrivals and scores the shard.
 #pragma once
 
 #include <string>
@@ -34,8 +35,9 @@ struct ChaosWorkloadOptions {
 };
 
 /// Builds one chaos UserWorld from the shard seed, replays the alert
-/// day, scores the InvariantChecker at horizon, and reports. Counters
-/// emitted on top of the portal set:
+/// day, scores the InvariantChecker at horizon, and reports: the
+/// workload driver with one epoch. Counters emitted on top of the
+/// portal delivery set:
 ///   invariant.submitted / delivered / failed / in_flight / ...
 ///   invariant.violations.* — every key must stay 0 (asserted by
 ///                            tests/chaos_test.cc per shard and merged)

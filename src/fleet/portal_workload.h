@@ -5,6 +5,8 @@
 // user's own MyAlertBuddy world, then scores delivery, loss,
 // duplicates, and the conservation invariants from inside the shard
 // (while the world is still alive) into the ShardResult counters.
+// These options describe the workload; the one workload driver in
+// fleet/resume.{h,cc} generates its arrivals and scores it.
 #pragma once
 
 #include "fleet/fleet.h"
@@ -31,7 +33,8 @@ struct PortalWorkloadOptions {
 };
 
 /// Builds one UserWorld from the shard seed, replays the portal day,
-/// and reports. Counters emitted (all deterministic per seed):
+/// and reports: the workload driver with one epoch. Counters emitted
+/// (all deterministic per seed):
 ///   alerts.sent / alerts.delivered / alerts.lost / alerts.duplicates
 ///   conservation.invented      — user sightings with no matching send
 ///   conservation.ack_unlogged  — IM-leg acks missing from the alert

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
@@ -18,13 +19,9 @@
 
 namespace simba::fleet {
 
-const char* to_string(ResumeKind kind) {
-  switch (kind) {
-    case ResumeKind::kPortal: return "portal";
-    case ResumeKind::kChaos: return "chaos";
-    case ResumeKind::kStorm: return "storm";
-  }
-  return "?";
+const char* workload_name(const WorkloadOptions& workload) {
+  constexpr const char* kNames[] = {"portal", "chaos", "storm"};
+  return kNames[workload.index()];
 }
 
 namespace {
@@ -33,6 +30,7 @@ namespace {
 
 constexpr std::uint32_t kShardImageKind = 1;
 constexpr std::uint32_t kFleetImageKind = 2;
+constexpr std::uint32_t kShapeImageKind = 3;
 
 // Shard-image sections, in their strict order.
 enum ShardSection : std::uint32_t {
@@ -57,41 +55,53 @@ enum FleetSection : std::uint32_t {
 
 // --- The arrival plan -------------------------------------------------------
 
-// Every arrival stream the three workload kinds submit. The whole
-// schedule is realized once, at epoch 0, from the same dedicated rng
-// stream the legacy workload would use — after that it is pure data,
-// carried (and checkpointed) as such.
-enum Stream : std::uint8_t {
-  kStreamPortal = 0,      // legacy portal mail into the buddy's mailbox
-  kStreamChaos = 1,       // chaos-workload source alerts
-  kStreamBackground = 2,  // storm background floor
-  kStreamCritical = 3,    // storm high-importance stream
-  kStreamCascade = 4,     // Aladdin sensor cascades
-  kStreamBurst = 5,       // proxy poll bursts
+// Every arrival stream the workloads submit. The whole schedule is
+// realized once, when a shard's first epoch starts, from the workload's
+// dedicated rng stream — after that it is pure data, carried (and
+// checkpointed) as such.
+enum StreamId : std::uint8_t {
+  kStreamPortalMail,    // legacy portal mail into the buddy's mailbox
+  kStreamPortalSource,  // portal alerts from a SIMBA-library source
+  kStreamChaos,         // chaos-workload source alerts
+  kStreamBackground,    // storm background floor
+  kStreamCritical,      // storm high-importance stream
+  kStreamCascade,       // Aladdin sensor cascades
+  kStreamBurst,         // proxy poll bursts
+  kStreamCount,
 };
 
-struct Arrival {
-  TimePoint t{};
-  std::uint8_t stream = kStreamPortal;
-};
-
-struct StreamInfo {
+struct Stream {
+  /// Submitting library source; null for mail straight into the
+  /// buddy's mailbox.
   const char* source;
   const char* native;
   const char* subject_prefix;
   bool critical;
+  /// Outcomes feed the conservation checker (chaos, storm); otherwise
+  /// the source's acks are kept for the portal's ack scoring.
+  bool checked;
 };
 
-StreamInfo stream_info(std::uint8_t stream) {
-  switch (stream) {
-    case kStreamChaos: return {"src", "K", "chaos alert ", false};
-    case kStreamBackground: return {"src", "K", "storm alert ", false};
-    case kStreamCritical: return {"aladdin", "Motion", "storm alert ", true};
-    case kStreamCascade: return {"aladdin", "Motion", "storm alert ", false};
-    case kStreamBurst: return {"proxy", "Poll", "storm alert ", false};
-    default: return {"src", "K", "alert ", false};
-  }
-}
+constexpr Stream kStreams[kStreamCount] = {
+    {nullptr, nullptr, "portal alert ", false, false},
+    {"src", "K", "alert ", false, false},
+    {"src", "K", "chaos alert ", false, true},
+    {"src", "K", "storm alert ", false, true},
+    {"aladdin", "Motion", "storm alert ", true, true},
+    {"aladdin", "Motion", "storm alert ", false, true},
+    {"proxy", "Poll", "storm alert ", false, true},
+};
+
+struct Arrival {
+  TimePoint t{};
+  std::uint8_t stream = kStreamPortalMail;
+};
+
+/// A source-side acknowledgement, as the portal scores it.
+struct Ack {
+  TimePoint completed_at{};
+  int block_used = -1;
+};
 
 // --- Per-shard driver -------------------------------------------------------
 
@@ -100,20 +110,20 @@ StreamInfo stream_info(std::uint8_t stream) {
 /// it and decoding it back must be lossless.
 struct ShardDriver {
   std::uint32_t next_epoch = 0;
-  /// The full arrival schedule, time-ordered; an arrival's id number
-  /// is its index. Fixed after epoch 0.
+  /// The full arrival schedule in generation order (stream by stream);
+  /// an arrival's index is its alert id number. Fixed after epoch 0.
   std::vector<Arrival> plan;
-  /// Arrivals already handed to a past (or the current) epoch's kernel.
-  std::uint64_t cursor = 0;
   /// World state saved at the last boundary (meaningful when
   /// next_epoch > 0).
   WorldState world;
-  /// Conservation tracker spanning all epochs (kChaos / kStorm).
+  /// Conservation tracker spanning all epochs (chaos / storm).
   sim::InvariantChecker checker;
-  /// Portal only: MAB-assigned alert id -> submit time, fed by the
+  /// Portal mail: MAB-assigned alert id -> submit time, fed by the
   /// alert observer. Serialised through sorted_items() so checkpoint
-  /// images stay sorted and thread-invariant.
+  /// images stay sorted and thread-invariant, like `acked`.
   util::FlatMap<std::string, TimePoint> sent_at;
+  /// Portal source: alert id -> its source-side acknowledgement.
+  util::FlatMap<std::string, Ack> acked;
   /// Portal only: availability-probe counters.
   Counters health;
   /// Shard checkpoint image, filled at the boundary the control asked
@@ -436,22 +446,25 @@ sim::InvariantChecker::State get_checker(sim::SnapshotReader& r) {
   return s;
 }
 
-// --- Shard image ------------------------------------------------------------
+// --- Run shape --------------------------------------------------------------
+// A checkpoint replays only under the run shape it was cut from. Each
+// workload struct has one shape codec — the fields besides horizon and
+// drain that decide its arrival plan and its scoring — and a shard
+// image carries the encoded shape, which a resume compares byte for
+// byte.
 
-std::string encode_shard(const ResumableOptions& o, const ShardTask& task,
-                         const ShardDriver& d) {
-  sim::SnapshotWriter w(kShardImageKind);
-
-  w.begin_section(kSecMeta);
-  w.u32(static_cast<std::uint32_t>(o.kind));
-  w.u64(task.shard_id);
-  w.u64(task.seed);
-  w.u32(static_cast<std::uint32_t>(o.epochs));
-  w.u32(d.next_epoch);
-  w.dur(o.horizon);
-  w.dur(o.drain);
-  w.dur(o.boundary_gap);
+void put_shape(sim::SnapshotWriter& w, const PortalWorkloadOptions& o) {
+  w.u32(static_cast<std::uint32_t>(o.traffic));
   w.f64(o.alerts_per_user_day);
+}
+
+void put_shape(sim::SnapshotWriter& w, const ChaosWorkloadOptions& o) {
+  w.str(o.scenario.name);
+  w.f64(o.alerts_per_user_day);
+}
+
+void put_shape(sim::SnapshotWriter& w, const StormWorkloadOptions& o) {
+  w.str(o.scenario.name);
   w.f64(o.background_per_day);
   w.f64(o.critical_per_day);
   w.u32(static_cast<std::uint32_t>(o.sensor_cascades));
@@ -460,6 +473,36 @@ std::string encode_shard(const ResumableOptions& o, const ShardTask& task,
   w.u32(static_cast<std::uint32_t>(o.poll_bursts));
   w.u32(static_cast<std::uint32_t>(o.burst_size));
   w.dur(o.burst_spread);
+}
+
+/// The workload's kind (the section id) and shape as one byte string.
+std::string run_shape(const WorkloadOptions& workload) {
+  sim::SnapshotWriter w(kShapeImageKind);
+  w.begin_section(static_cast<std::uint32_t>(workload.index()));
+  std::visit(
+      [&w](const auto& o) {
+        w.dur(o.horizon);
+        w.dur(o.drain);
+        put_shape(w, o);
+      },
+      workload);
+  w.end_section();
+  return w.finish();
+}
+
+// --- Shard image ------------------------------------------------------------
+
+std::string encode_shard(const ResumableOptions& o, const ShardTask& task,
+                         const ShardDriver& d) {
+  sim::SnapshotWriter w(kShardImageKind);
+
+  w.begin_section(kSecMeta);
+  w.u64(task.shard_id);
+  w.u64(task.seed);
+  w.u32(static_cast<std::uint32_t>(o.epochs));
+  w.u32(d.next_epoch);
+  w.dur(o.boundary_gap);
+  w.str(run_shape(o.workload));
   w.end_section();
 
   w.begin_section(kSecClock);
@@ -494,7 +537,6 @@ std::string encode_shard(const ResumableOptions& o, const ShardTask& task,
     w.time_point(arrival.t);
     w.u8(arrival.stream);
   }
-  w.u64(d.cursor);
   w.end_section();
 
   w.begin_section(kSecChecker);
@@ -506,6 +548,12 @@ std::string encode_shard(const ResumableOptions& o, const ShardTask& task,
   for (const auto& [id, t] : d.sent_at.sorted_items()) {
     w.str(id);
     w.time_point(t);
+  }
+  w.u64(d.acked.size());
+  for (const auto& [id, ack] : d.acked.sorted_items()) {
+    w.str(id);
+    w.time_point(ack.completed_at);
+    w.i64(ack.block_used);
   }
   sim::put_counters(w, d.health);
   w.end_section();
@@ -520,46 +568,22 @@ Result<ShardDriver> decode_shard(const ResumableOptions& o,
   ShardDriver d;
 
   r.enter(kSecMeta);
-  const std::uint32_t kind = r.u32();
   const std::uint64_t shard_id = r.u64();
   const std::uint64_t seed = r.u64();
   const std::uint32_t epochs = r.u32();
   d.next_epoch = r.u32();
-  const Duration horizon = r.dur();
-  const Duration drain = r.dur();
   const Duration gap = r.dur();
-  const double alerts_per_user_day = r.f64();
-  const double background_per_day = r.f64();
-  const double critical_per_day = r.f64();
-  const std::uint32_t sensor_cascades = r.u32();
-  const std::uint32_t cascade_size = r.u32();
-  const Duration cascade_spread = r.dur();
-  const std::uint32_t poll_bursts = r.u32();
-  const std::uint32_t burst_size = r.u32();
-  const Duration burst_spread = r.dur();
+  const std::string shape = r.str();
   r.leave();
   if (!r.ok()) return make_error(r.status().error());
-  // A checkpoint is only replayable under the exact run shape it was
-  // cut from; a mismatch would silently diverge, so it is an error.
-  if (kind != static_cast<std::uint32_t>(o.kind)) {
-    return make_error("checkpoint kind mismatch: image has " +
-                      std::to_string(kind));
-  }
   if (shard_id != task.shard_id || seed != task.seed) {
     return make_error("checkpoint shard identity mismatch (shard " +
                       std::to_string(shard_id) + ")");
   }
+  // A checkpoint is only replayable under the exact run shape it was
+  // cut from; a mismatch would silently diverge, so it is an error.
   if (epochs != static_cast<std::uint32_t>(o.epochs) ||
-      horizon != o.horizon || drain != o.drain || gap != o.boundary_gap ||
-      alerts_per_user_day != o.alerts_per_user_day ||
-      background_per_day != o.background_per_day ||
-      critical_per_day != o.critical_per_day ||
-      sensor_cascades != static_cast<std::uint32_t>(o.sensor_cascades) ||
-      cascade_size != static_cast<std::uint32_t>(o.cascade_size) ||
-      cascade_spread != o.cascade_spread ||
-      poll_bursts != static_cast<std::uint32_t>(o.poll_bursts) ||
-      burst_size != static_cast<std::uint32_t>(o.burst_size) ||
-      burst_spread != o.burst_spread) {
+      gap != o.boundary_gap || shape != run_shape(o.workload)) {
     return make_error("checkpoint run-shape mismatch for shard " +
                       std::to_string(task.shard_id));
   }
@@ -595,14 +619,15 @@ Result<ShardDriver> decode_shard(const ResumableOptions& o,
   r.leave();
 
   r.enter(kSecPlan);
+  bool streams_known = true;
   const std::uint64_t arrivals = r.u64();
   for (std::uint64_t i = 0; i < arrivals && r.ok(); ++i) {
     Arrival arrival;
     arrival.t = r.time_point();
     arrival.stream = r.u8();
+    streams_known = streams_known && arrival.stream < kStreamCount;
     d.plan.push_back(arrival);
   }
-  d.cursor = r.u64();
   r.leave();
 
   r.enter(kSecChecker);
@@ -616,13 +641,21 @@ Result<ShardDriver> decode_shard(const ResumableOptions& o,
     const TimePoint t = r.time_point();
     d.sent_at.emplace(std::move(id), t);
   }
+  const std::uint64_t acks = r.u64();
+  for (std::uint64_t i = 0; i < acks && r.ok(); ++i) {
+    std::string id = r.str();
+    Ack ack;
+    ack.completed_at = r.time_point();
+    ack.block_used = static_cast<int>(r.i64());
+    d.acked.emplace(std::move(id), ack);
+  }
   d.health = sim::get_counters(r);
   r.leave();
 
   const Status status = r.finish();
   if (!status.ok()) return make_error(status.error());
-  if (d.cursor > d.plan.size()) {
-    return make_error("checkpoint plan cursor out of range");
+  if (!streams_known) {
+    return make_error("checkpoint plan names an unknown arrival stream");
   }
   d.checker.restore_state(checker_state);
   return d;
@@ -630,21 +663,54 @@ Result<ShardDriver> decode_shard(const ResumableOptions& o,
 
 // --- Epoch machinery --------------------------------------------------------
 
+Duration horizon_of(const WorkloadOptions& workload) {
+  return std::visit([](const auto& o) { return o.horizon; }, workload);
+}
+
+/// Boundary i of the horizon's `epochs` equal windows: 0 is the start
+/// of time, `epochs` the horizon.
 TimePoint epoch_boundary(const ResumableOptions& o, int i) {
-  return kTimeZero +
-         Duration{o.horizon.count() * static_cast<std::int64_t>(i) /
-                  static_cast<std::int64_t>(o.epochs)};
+  return kTimeZero + Duration{horizon_of(o.workload).count() *
+                              static_cast<std::int64_t>(i) /
+                              static_cast<std::int64_t>(o.epochs)};
+}
+
+/// The world every epoch of a shard is built from: the workload's own
+/// knobs plus the plumbing its arrivals and its scoring need.
+UserWorldOptions shard_world(const WorkloadOptions& workload,
+                             const ShardTask& task, ShardDriver& d) {
+  UserWorldOptions world =
+      std::visit([](const auto& o) { return o.world; }, workload);
+  world.user = "user" + std::to_string(task.shard_id);
+  world.fault_horizon = horizon_of(workload);
+  if (const auto* portal = std::get_if<PortalWorkloadOptions>(&workload)) {
+    world.with_source = portal->traffic == Traffic::kSourceIm;
+    return world;
+  }
+  if (const auto* chaos = std::get_if<ChaosWorkloadOptions>(&workload)) {
+    world.chaos = chaos->scenario;
+  } else {
+    world.chaos = std::get<StormWorkloadOptions>(workload).scenario;
+    world.storm_config = true;
+  }
+  // Chaos and storm: a library source under the fault mix, every alert
+  // followed by the checker that spans epochs, and always traced — a
+  // violated invariant must be able to print the offending alert's
+  // lifecycle, and traces consume no randomness and schedule no events.
+  world.with_source = true;
+  world.trace = true;
+  world.shared_invariants = &d.checker;
+  return world;
 }
 
 /// Realizes the full arrival schedule from the shard seed (epoch 0
-/// only), mirroring the legacy workloads' streams and stream names,
-/// then drops arrivals inside the quiesce window before each interior
-/// boundary and orders everything by time. An arrival's plan index is
-/// its alert id number.
+/// only), stream by stream in a fixed order, then drops arrivals inside
+/// the quiesce window before each interior boundary.
 void build_plan(UserWorld& world, const ResumableOptions& o, ShardDriver& d) {
-  std::vector<Arrival> plan;
+  std::vector<Arrival>& plan = d.plan;
   const TimePoint start = world.sim.now();
-  const TimePoint end = kTimeZero + o.horizon;
+  const TimePoint end = kTimeZero + horizon_of(o.workload);
+  // Poisson arrivals at `per_day` until the horizon.
   const auto poisson = [&](Rng& rng, double per_day, std::uint8_t stream) {
     if (per_day <= 0.0) return;
     const Duration mean_gap{
@@ -656,45 +722,44 @@ void build_plan(UserWorld& world, const ResumableOptions& o, ShardDriver& d) {
       plan.push_back(Arrival{t, stream});
     }
   };
-  switch (o.kind) {
-    case ResumeKind::kPortal: {
-      Rng rng = world.sim.make_rng("portal");
-      poisson(rng, o.alerts_per_user_day, kStreamPortal);
-      break;
-    }
-    case ResumeKind::kChaos: {
-      Rng rng = world.sim.make_rng("chaos.load");
-      poisson(rng, o.alerts_per_user_day, kStreamChaos);
-      break;
-    }
-    case ResumeKind::kStorm: {
-      Rng rng = world.sim.make_rng("storm.load");
-      poisson(rng, o.background_per_day, kStreamBackground);
-      poisson(rng, o.critical_per_day, kStreamCritical);
-      for (int c = 0; c < o.sensor_cascades; ++c) {
-        TimePoint t =
-            start + rng.uniform_duration(Duration::zero(), end - start);
-        const Duration mean_gap{static_cast<std::int64_t>(
-            to_seconds(o.cascade_spread) / std::max(1, o.cascade_size) * 1e6)};
-        for (int i = 0; i < o.cascade_size; ++i) {
-          if (i > 0) t += rng.exponential_duration(mean_gap);
-          if (t >= end) break;
-          plan.push_back(Arrival{t, kStreamCascade});
-        }
+  // `count` clusters at uniform instants, each `size` arrivals spread
+  // over about `spread`.
+  const auto clusters = [&](Rng& rng, int count, int size, Duration spread,
+                            std::uint8_t stream) {
+    const Duration mean_gap{static_cast<std::int64_t>(
+        to_seconds(spread) / std::max(1, size) * 1e6)};
+    for (int c = 0; c < count; ++c) {
+      TimePoint t =
+          start + rng.uniform_duration(Duration::zero(), end - start);
+      for (int i = 0; i < size; ++i) {
+        if (i > 0) t += rng.exponential_duration(mean_gap);
+        if (t >= end) break;
+        plan.push_back(Arrival{t, stream});
       }
-      for (int b = 0; b < o.poll_bursts; ++b) {
-        TimePoint t =
-            start + rng.uniform_duration(Duration::zero(), end - start);
-        const Duration mean_gap{static_cast<std::int64_t>(
-            to_seconds(o.burst_spread) / std::max(1, o.burst_size) * 1e6)};
-        for (int i = 0; i < o.burst_size; ++i) {
-          if (i > 0) t += rng.exponential_duration(mean_gap);
-          if (t >= end) break;
-          plan.push_back(Arrival{t, kStreamBurst});
-        }
-      }
-      break;
     }
+  };
+  if (const auto* portal = std::get_if<PortalWorkloadOptions>(&o.workload)) {
+    Rng rng = world.sim.make_rng("portal");
+    poisson(rng, portal->alerts_per_user_day,
+            portal->traffic == Traffic::kPortalEmail ? kStreamPortalMail
+                                                     : kStreamPortalSource);
+  } else if (const auto* chaos =
+                 std::get_if<ChaosWorkloadOptions>(&o.workload)) {
+    Rng rng = world.sim.make_rng("chaos.load");
+    poisson(rng, chaos->alerts_per_user_day, kStreamChaos);
+  } else {
+    // The storm: background floor, sparse criticals, then the
+    // correlated bursts admission control exists for — Aladdin sensor
+    // cascades (one trigger, many sensors, seconds apart) and proxy
+    // poll bursts (one poll cycle, many changed pages).
+    const auto& storm = std::get<StormWorkloadOptions>(o.workload);
+    Rng rng = world.sim.make_rng("storm.load");
+    poisson(rng, storm.background_per_day, kStreamBackground);
+    poisson(rng, storm.critical_per_day, kStreamCritical);
+    clusters(rng, storm.sensor_cascades, storm.cascade_size,
+             storm.cascade_spread, kStreamCascade);
+    clusters(rng, storm.poll_bursts, storm.burst_size, storm.burst_spread,
+             kStreamBurst);
   }
   // Quiesce: no arrivals this close before an interior boundary, so
   // source-side deliveries resolve before the planned restart.
@@ -705,99 +770,118 @@ void build_plan(UserWorld& world, const ResumableOptions& o, ShardDriver& d) {
     }
     return false;
   });
-  std::stable_sort(plan.begin(), plan.end(),
-                   [](const Arrival& x, const Arrival& y) { return x.t < y.t; });
-  d.plan = std::move(plan);
 }
 
-/// Schedules every not-yet-scheduled arrival with t < window_end into
-/// this epoch's kernel, mirroring the legacy workloads' submission
-/// closures (ids in the shard bump arena, checker fed on submit and on
-/// the source's done callback).
-void schedule_arrivals(UserWorld& world, const ResumableOptions& o,
-                       const ShardTask& task, ShardDriver& d,
-                       TimePoint window_end) {
-  while (d.cursor < d.plan.size() && d.plan[d.cursor].t < window_end) {
-    const Arrival arrival = d.plan[d.cursor];
-    const std::uint64_t number = d.cursor++;
-    if (o.kind == ResumeKind::kPortal) {
-      world.sim.at(arrival.t, [&world, number] {
+/// Schedules the plan's arrivals with from <= t < to into this epoch's
+/// kernel, in plan order: mail straight into the buddy's mailbox, or a
+/// library-source alert whose id lives in the shard bump arena and
+/// whose outcome feeds the checker or the portal's ack record.
+void schedule_arrivals(UserWorld& world, const ShardTask& task,
+                       ShardDriver& d, TimePoint from, TimePoint to) {
+  for (std::size_t n = 0; n < d.plan.size(); ++n) {
+    const Arrival arrival = d.plan[n];
+    if (arrival.t < from || arrival.t >= to) continue;
+    const Stream* stream = &kStreams[arrival.stream];
+    if (stream->source == nullptr) {
+      world.sim.at(arrival.t, [&world, n, stream] {
         email::Email mail;
         mail.from = "Yahoo! Alerts - Stocks <alerts@yahoo.example>";
         mail.to = world.host->email_address();
-        mail.subject = "portal alert " + std::to_string(number);
+        mail.subject = stream->subject_prefix + std::to_string(n);
         world.email_server.submit(std::move(mail));
       });
       continue;
     }
-    const StreamInfo info = stream_info(arrival.stream);
+    // Closures capture a 16-byte view instead of a string; the arena
+    // rewinds in one step at the epoch boundary.
     char shard_buf[20];
     char number_buf[20];
     const std::string_view id = world.id_arena.concat(
         {"s", util::format_u64(task.shard_id, shard_buf), "-",
-         util::format_u64(number, number_buf)});
-    sim::InvariantChecker* checker = &d.checker;
-    world.sim.at(arrival.t, [&world, checker, id, number, info] {
+         util::format_u64(n, number_buf)});
+    world.sim.at(arrival.t, [&world, &d, id, n, stream] {
       core::Alert alert;
       // std::string rvalues: sidestep a GCC 12 -Werror=restrict false
       // positive on the const char* assign path at -O2.
-      alert.source = std::string(info.source);
-      alert.native_category = std::string(info.native);
-      alert.subject = std::string(info.subject_prefix) + std::to_string(number);
-      alert.high_importance = info.critical;
+      alert.source = std::string(stream->source);
+      alert.native_category = std::string(stream->native);
+      alert.subject = stream->subject_prefix + std::to_string(n);
+      alert.high_importance = stream->critical;
       alert.id = std::string(id);
       alert.created_at = world.sim.now();
-      checker->on_submitted(alert.id, world.sim.now());
+      if (stream->checked) d.checker.on_submitted(alert.id, world.sim.now());
       world.source->send_alert(
-          alert,
-          [&world, checker, id](const core::DeliveryOutcome& outcome) {
+          alert, [&world, &d, id, checked = stream->checked](
+                     const core::DeliveryOutcome& outcome) {
+            if (!checked) {
+              if (outcome.delivered) {
+                d.acked.emplace(id,
+                                Ack{outcome.completed_at, outcome.block_used});
+              }
+              return;
+            }
             const std::string id_str(id);
             if (outcome.delivered) {
-              checker->on_acked(id_str, outcome.block_used,
-                                world.host->alert_log().contains(id_str),
-                                outcome.completed_at);
+              // Probe the pessimistic log at the instant the source
+              // learns of success: log-before-ack demands the record
+              // is already on disk for a primary-leg (block 0) ack.
+              d.checker.on_acked(id_str, outcome.block_used,
+                                 world.host->alert_log().contains(id_str),
+                                 outcome.completed_at);
             } else {
-              checker->on_failed(id_str, outcome.completed_at);
+              d.checker.on_failed(id_str, outcome.completed_at);
             }
           });
     });
   }
 }
 
-/// Counter keys copied from a component bag into the shard result (see
-/// chaos_workload.cc).
-void copy_counters_with_prefix(const Counters& from, const std::string& prefix,
-                               Counters& into) {
+/// Copies the counters whose names start with one of `prefixes` from a
+/// component bag into the shard result.
+void copy_prefixed(const Counters& from,
+                   std::initializer_list<std::string_view> prefixes,
+                   Counters& into) {
   for (const auto& [name, value] : from.all()) {
-    if (name.rfind(prefix, 0) == 0) into.bump(name, value);
+    for (const std::string_view prefix : prefixes) {
+      if (std::string_view(name).starts_with(prefix)) {
+        into.bump(name, value);
+        break;
+      }
+    }
   }
 }
 
-/// Final-epoch scoring, while the last world is still alive. Mirrors
-/// the per-kind scoring of portal_workload / chaos_workload /
-/// storm_workload, over the whole run's history (sightings, the
-/// checker, and all counter bags span every epoch via WorldState).
-ShardResult score_shard(UserWorld& world, const ResumableOptions& o,
+/// Final-epoch scoring, while the last world is still alive, over the
+/// whole run's history (sightings, the checker, and all counter bags
+/// span every epoch via WorldState).
+ShardResult score_shard(UserWorld& world, const WorkloadOptions& workload,
                         const ShardTask& task, ShardDriver& d) {
   ShardResult result;
+  const auto* portal = std::get_if<PortalWorkloadOptions>(&workload);
+  const bool storm = std::holds_alternative<StormWorkloadOptions>(workload);
 
+  // Submit time per alert id. The MAB assigns portal-mail ids, and its
+  // observer recorded them; every other id is its plan index.
   util::FlatMap<std::string, TimePoint> sent_at;
   util::FlatSet<std::string> critical_ids;
-  if (o.kind == ResumeKind::kPortal) {
-    sent_at = d.sent_at;
+  if (portal != nullptr && portal->traffic == Traffic::kPortalEmail) {
+    sent_at = std::move(d.sent_at);
   } else {
     for (std::size_t n = 0; n < d.plan.size(); ++n) {
       std::string id =
           "s" + std::to_string(task.shard_id) + "-" + std::to_string(n);
-      if (d.plan[n].stream == kStreamCritical) critical_ids.insert(id);
+      if (kStreams[d.plan[n].stream].critical) critical_ids.insert(id);
       sent_at.emplace(std::move(id), d.plan[n].t);
     }
   }
 
-  if (o.kind != ResumeKind::kPortal) {
-    // Horizon-time sweep (see chaos_workload.cc): an unresolved alert
-    // must be recoverable — in the persistent log or unread in the
-    // buddy's mailbox — never silently lost.
+  if (portal == nullptr) {
+    // Horizon-time sweep. An alert with no terminal state must still
+    // be *recoverable*: in the persistent log (the restart scan will
+    // process it) or unread in the buddy's mailbox (the next email pump
+    // will). Anything else has been silently lost — the violation the
+    // paper's whole architecture exists to prevent. Shed and coalesced
+    // alerts are terminal and never reach this sweep.
     util::FlatSet<std::string> mailbox_ids;
     for (const email::Email& mail :
          world.email_server.mailbox(world.host->email_address())) {
@@ -809,6 +893,8 @@ ShardResult score_shard(UserWorld& world, const ResumableOptions& o,
         d.checker.on_recoverable(id);
       }
     }
+    // Acked-as-logged records must still be present now (a torn append
+    // can only ever hit an unacked record).
     sim::InvariantChecker::LoggedNowMap logged_now;
     for (const auto& [id, submitted] : sent_at) {
       (void)submitted;
@@ -821,9 +907,11 @@ ShardResult score_shard(UserWorld& world, const ResumableOptions& o,
     }
   }
 
-  result.counters.bump("alerts.sent",
-                       static_cast<std::int64_t>(d.plan.size()));
-  if (o.kind == ResumeKind::kStorm) {
+  // Delivery scoring. sorted_items() keeps every Summary's add order
+  // deterministic.
+  const auto sent = static_cast<std::int64_t>(d.plan.size());
+  result.counters.bump("alerts.sent", sent);
+  if (storm) {
     result.counters.bump("alerts.critical",
                          static_cast<std::int64_t>(critical_ids.size()));
   }
@@ -844,36 +932,47 @@ ShardResult score_shard(UserWorld& world, const ResumableOptions& o,
     duplicates += world.user->sightings(id) - 1;
   }
   result.counters.bump("alerts.delivered", delivered);
-  if (o.kind == ResumeKind::kStorm) {
+  if (storm) {
     result.counters.bump("alerts.critical_delivered", critical_delivered);
   }
-  result.counters.bump(
-      "alerts.lost", static_cast<std::int64_t>(d.plan.size()) - delivered);
+  result.counters.bump("alerts.lost", sent - delivered);
   result.counters.bump("alerts.duplicates", duplicates);
 
-  if (o.kind == ResumeKind::kPortal) {
+  if (portal != nullptr) {
     result.counters.merge(d.health);
+    // Conservation: every sighting must trace back to a send this shard
+    // made — the user cannot have seen an invented alert.
     result.counters.bump(
         "conservation.invented",
         static_cast<std::int64_t>(world.user->alerts_seen()) - delivered);
-  } else {
-    copy_counters_with_prefix(world.bus.stats(), "chaos.", result.counters);
-    copy_counters_with_prefix(world.bus.stats(), "dropped.chaos",
-                              result.counters);
-    copy_counters_with_prefix(world.host->stats(), "chaos.", result.counters);
-    copy_counters_with_prefix(world.host->stats(), "power_losses",
-                              result.counters);
-    copy_counters_with_prefix(world.host->alert_log().stats(), "torn_appends",
-                              result.counters);
-    if (o.kind == ResumeKind::kStorm) {
-      const Counters mab_totals = world.host->mab_stats_total();
-      copy_counters_with_prefix(mab_totals, "admission.", result.counters);
-      copy_counters_with_prefix(mab_totals, "coalesce.", result.counters);
-      copy_counters_with_prefix(mab_totals, "inbox.", result.counters);
-      copy_counters_with_prefix(mab_totals, "routing.shed", result.counters);
-      copy_counters_with_prefix(world.bus.stats(), "pending.shed",
-                                result.counters);
+    if (portal->traffic == Traffic::kSourceIm) {
+      // Log-before-ack: an IM-leg acknowledgement (block 0) means the
+      // pessimistic log persisted the alert before the ack went out.
+      for (const auto& [id, ack] : d.acked.sorted_items()) {
+        result.ack_latency.add(to_seconds(ack.completed_at - sent_at[id]));
+        if (ack.block_used == 0 && !world.host->alert_log().contains(id)) {
+          result.counters.bump("conservation.ack_unlogged");
+        }
+      }
+      result.counters.bump("alerts.acked",
+                           static_cast<std::int64_t>(d.acked.size()));
     }
+  } else {
+    // How much chaos actually bit, for scenario sanity checks.
+    copy_prefixed(world.bus.stats(), {"chaos.", "dropped.chaos"},
+                  result.counters);
+    copy_prefixed(world.host->stats(), {"chaos.", "power_losses"},
+                  result.counters);
+    copy_prefixed(world.host->alert_log().stats(), {"torn_appends"},
+                  result.counters);
+  }
+  if (storm) {
+    // Overload accounting, aggregated across MAB incarnations, plus the
+    // transport sheds.
+    copy_prefixed(world.host->mab_stats_total(),
+                  {"admission.", "coalesce.", "inbox.", "routing.shed"},
+                  result.counters);
+    copy_prefixed(world.bus.stats(), {"pending.shed"}, result.counters);
   }
 
   result.events_processed = world.sim.events_processed();
@@ -882,38 +981,33 @@ ShardResult score_shard(UserWorld& world, const ResumableOptions& o,
 }
 
 /// One shard's remaining epochs: rebuild the world (cold or from the
-/// carried WorldState), feed it its slice of the plan, run to the
+/// carried WorldState), feed it its window of the plan, run to the
 /// boundary (or to horizon + drain on the last epoch), tear down. The
 /// checkpoint, when requested, is encoded at the boundary — a pure
 /// function of the driver, safe inside the parallel body.
 ShardResult run_shard_epochs(const ResumableOptions& o, const ShardTask& task,
                              ShardDriver& d, int ckpt_epoch, bool stop) {
-  const TimePoint end = kTimeZero + o.horizon;
-  for (std::uint32_t epoch = d.next_epoch;
-       epoch < static_cast<std::uint32_t>(o.epochs); ++epoch) {
-    UserWorldOptions world_options = o.world;
-    world_options.user = "user" + std::to_string(task.shard_id);
-    world_options.fault_horizon = o.horizon;
-    if (o.kind != ResumeKind::kPortal) {
-      world_options.with_source = true;
-      world_options.chaos = o.scenario;
-      world_options.trace = true;
-      world_options.shared_invariants = &d.checker;
-    }
-    if (o.kind == ResumeKind::kStorm) world_options.storm_config = true;
+  const auto epochs = static_cast<std::uint32_t>(o.epochs);
+  const auto* portal = std::get_if<PortalWorkloadOptions>(&o.workload);
+  for (std::uint32_t epoch = d.next_epoch; epoch < epochs; ++epoch) {
+    UserWorldOptions world_options = shard_world(o.workload, task, d);
     world_options.resume = epoch > 0 ? &d.world : nullptr;
     UserWorld world(task.seed, world_options);
 
     if (epoch == 0) build_plan(world, o, d);
 
-    if (o.kind == ResumeKind::kPortal) {
-      world.host->set_alert_observer(
-          [&d](const core::Alert& alert, TimePoint) {
-            d.sent_at.emplace(alert.id, alert.created_at);
-          });
-    }
+    // Portal: the MAB's observer supplies each mail alert's submit time
+    // (created_at == mail.submitted_at), and a probe samples the MAB's
+    // availability. The probe captures this epoch's world, so it must
+    // die with it — ScopedTask guarantees the cancel.
     std::optional<sim::ScopedTask> health_probe;
-    if (o.kind == ResumeKind::kPortal) {
+    if (portal != nullptr) {
+      if (portal->traffic == Traffic::kPortalEmail) {
+        world.host->set_alert_observer(
+            [&d](const core::Alert& alert, TimePoint) {
+              d.sent_at.emplace(alert.id, alert.created_at);
+            });
+      }
       health_probe.emplace(world.sim.every(
           minutes(10),
           [&d, &world] {
@@ -923,16 +1017,20 @@ ShardResult run_shard_epochs(const ResumableOptions& o, const ShardTask& task,
           "fleet.health"));
     }
 
-    const bool last = epoch + 1 == static_cast<std::uint32_t>(o.epochs);
-    const TimePoint boundary = last ? end : epoch_boundary(o, epoch + 1);
-    schedule_arrivals(world, o, task, d, boundary);
-    world.sim.run_until(last ? end + o.drain : boundary);
+    const bool last = epoch + 1 == epochs;
+    const TimePoint boundary = epoch_boundary(o, static_cast<int>(epoch) + 1);
+    schedule_arrivals(world, task, d,
+                      epoch_boundary(o, static_cast<int>(epoch)), boundary);
+    world.sim.run_until(
+        last ? boundary + std::visit([](const auto& w) { return w.drain; },
+                                     o.workload)
+             : boundary);
 
     // Epoch boundary: every closure holding an arena view has fired
     // (or dies with this world); rewind the id scratch in O(1).
     world.id_arena.reset();
 
-    if (last) return score_shard(world, o, task, d);
+    if (last) return score_shard(world, o.workload, task, d);
 
     d.world = save_world_state(world);
     d.next_epoch = epoch + 1;
@@ -952,7 +1050,6 @@ std::string encode_fleet(const ResumableOptions& o,
                          std::uint32_t next_epoch) {
   sim::SnapshotWriter w(kFleetImageKind);
   w.begin_section(kSecFleetMeta);
-  w.u32(static_cast<std::uint32_t>(o.kind));
   w.u64(o.fleet.base_seed);
   w.u64(drivers.size());
   w.u32(static_cast<std::uint32_t>(o.epochs));
@@ -970,16 +1067,12 @@ Result<std::vector<ShardDriver>> decode_fleet(const ResumableOptions& o,
                                               std::string_view image) {
   sim::SnapshotReader r(image, kFleetImageKind);
   r.enter(kSecFleetMeta);
-  const std::uint32_t kind = r.u32();
   const std::uint64_t base_seed = r.u64();
   const std::uint64_t shards = r.u64();
   const std::uint32_t epochs = r.u32();
   const std::uint32_t next_epoch = r.u32();
   r.leave();
   if (!r.ok()) return make_error(r.status().error());
-  if (kind != static_cast<std::uint32_t>(o.kind)) {
-    return make_error("fleet checkpoint kind mismatch");
-  }
   if (base_seed != o.fleet.base_seed || shards != o.fleet.shards) {
     return make_error("fleet checkpoint seed/shard-count mismatch");
   }
@@ -1048,7 +1141,32 @@ ResumableRun run_epochs(const ResumableOptions& o, const ResumeControl& control,
   return run;
 }
 
+/// One shard from a cold world to horizon + drain in a single epoch.
+ShardResult run_one_epoch(const ShardTask& task, WorkloadOptions workload) {
+  ResumableOptions options;
+  options.workload = std::move(workload);
+  options.epochs = 1;
+  ShardDriver driver;
+  return run_shard_epochs(options, task, driver, /*ckpt_epoch=*/0,
+                          /*stop=*/false);
+}
+
 }  // namespace
+
+ShardResult run_portal_shard(const ShardTask& task,
+                             const PortalWorkloadOptions& options) {
+  return run_one_epoch(task, options);
+}
+
+ShardResult run_chaos_shard(const ShardTask& task,
+                            const ChaosWorkloadOptions& options) {
+  return run_one_epoch(task, options);
+}
+
+ShardResult run_storm_shard(const ShardTask& task,
+                            const StormWorkloadOptions& options) {
+  return run_one_epoch(task, options);
+}
 
 ResumableRun run_resumable_fleet(const ResumableOptions& options,
                                  const ResumeControl& control,

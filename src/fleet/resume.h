@@ -1,6 +1,15 @@
-// Resumable multi-epoch fleet runs: deterministic world checkpoint /
-// restore, proven by the resume-equivalence matrix (tests/resume_test.cc,
+// The workload driver: every fleet workload, run as an arrival plan
+// plus scoring over one or more epochs, with deterministic checkpoint /
+// restore proven by the resume-equivalence matrix (tests/resume_test.cc,
 // DESIGN.md §15).
+//
+// A workload (the portal day of E9, the chaos month of E10, the alert
+// storm of E12) differs only in what arrives at each user's world and
+// how the shard is scored. The driver realizes the whole arrival plan
+// from the shard seed when the first epoch starts, feeds each epoch the
+// arrivals inside its window, and scores the shard once at the end.
+// run_portal_shard / run_chaos_shard / run_storm_shard are this driver
+// with one epoch, and are defined with it in resume.cc.
 //
 // A resumable run divides its horizon into epochs. Every epoch — in
 // every run, resumed or not — tears the per-shard UserWorld down at the
@@ -23,64 +32,37 @@
 // chaos dimension: a simulator crash-restart at an arbitrary epoch.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <string_view>
+#include <variant>
 
+#include "fleet/chaos_workload.h"
 #include "fleet/fleet.h"
-#include "fleet/user_world.h"
-#include "sim/chaos.h"
+#include "fleet/portal_workload.h"
+#include "fleet/storm_workload.h"
 #include "util/result.h"
 #include "util/stats.h"
 
 namespace simba::fleet {
 
-/// Which workload family the resumable driver replays. The traffic
-/// plans mirror portal_workload / chaos_workload / storm_workload; the
-/// whole arrival schedule is realized up front from the shard seed
-/// (epoch 0) and carried as data, so a resumed run never re-draws it.
-enum class ResumeKind : std::uint32_t {
-  kPortal = 1,  // legacy portal mail straight to the buddy's mailbox
-  kChaos = 2,   // SIMBA-library source under a chaos scenario
-  kStorm = 3,   // correlated overload (cascades + bursts + criticals)
-};
+/// What arrives at each shard's world, and how the shard is scored.
+using WorkloadOptions = std::variant<PortalWorkloadOptions,
+                                     ChaosWorkloadOptions,
+                                     StormWorkloadOptions>;
 
-const char* to_string(ResumeKind kind);
+/// "portal", "chaos" or "storm".
+const char* workload_name(const WorkloadOptions& workload);
 
 struct ResumableOptions {
-  ResumeKind kind = ResumeKind::kChaos;
-  /// Base world knobs (fidelity, overload, tracing, ...). The driver
-  /// overrides the per-kind plumbing (source, storm config, chaos
-  /// scenario, shared invariant checker) itself.
-  UserWorldOptions world;
-  /// Fault mix for kChaos / kStorm, realized per shard seed.
-  sim::ChaosScenario scenario;
+  WorkloadOptions workload;
   FleetOptions fleet;
-
-  // --- Run shape -------------------------------------------------------------
-  Duration horizon = hours(8);
-  /// Extra virtual time after the last arrival window (final epoch
-  /// only) so email tails, digest flushes, and recovery replays land.
-  Duration drain = hours(2);
   /// Number of equal arrival windows; boundaries at horizon * i/epochs.
+  /// The workload's drain runs after the last one.
   int epochs = 4;
   /// No arrivals land this close before an interior boundary, so
   /// source-side deliveries resolve before the world is torn down —
   /// the quiesce window of a planned restart.
   Duration boundary_gap = minutes(15);
-
-  // --- Traffic (kPortal / kChaos) --------------------------------------------
-  double alerts_per_user_day = 72.0;
-
-  // --- Storm shape (kStorm), mirroring StormWorkloadOptions -----------------
-  double background_per_day = 48.0;
-  double critical_per_day = 96.0;
-  int sensor_cascades = 6;
-  int cascade_size = 40;
-  Duration cascade_spread = seconds(20);
-  int poll_bursts = 4;
-  int burst_size = 60;
-  Duration burst_spread = seconds(45);
 };
 
 struct ResumeControl {

@@ -13,7 +13,9 @@
 //
 // with every shed and coalesce accounted and traced. Everything is a
 // pure function of the shard seed, so the defended and undefended
-// configurations are comparable burst for burst.
+// configurations are comparable burst for burst. The one workload
+// driver in fleet/resume.{h,cc} generates the arrivals and scores the
+// shard.
 #pragma once
 
 #include <string>
@@ -65,8 +67,9 @@ struct StormWorkloadOptions {
 };
 
 /// Builds one storm UserWorld from the shard seed, replays the storm,
-/// scores the InvariantChecker at horizon, and reports. On top of the
-/// chaos-workload counter set it emits:
+/// scores the InvariantChecker at horizon, and reports: the workload
+/// driver with one epoch. On top of the chaos-workload counter set it
+/// emits:
 ///   alerts.critical           — critical alerts submitted
 ///   invariant.shed/coalesced  — terminal overload outcomes
 ///   admission.* / coalesce.* / inbox.* / routing.* — MAB-side

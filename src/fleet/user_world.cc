@@ -24,56 +24,6 @@ sim::OutagePlan drop_finished(const sim::OutagePlan& plan, TimePoint now) {
   return filtered;
 }
 
-// Mirrors tests/test_world.h: fast, loss-free channels for unit tests.
-void apply_fast_models(UserWorld& world) {
-  net::LinkModel im_link;
-  im_link.base_latency = millis(150);
-  im_link.jitter = millis(200);
-  im_link.loss_probability = 0.0;
-  world.bus.set_default_link(im_link);
-
-  email::EmailDelayModel mail;
-  mail.fast_probability = 1.0;
-  mail.fast_median = seconds(6);
-  mail.fast_sigma = 0.3;
-  mail.loss_probability = 0.0;
-  world.email_server.set_delay_model(mail);
-
-  sms::SmsDelayModel sms_model;
-  sms_model.fast_probability = 1.0;
-  sms_model.fast_median = seconds(12);
-  sms_model.fast_sigma = 0.3;
-  sms_model.loss_probability = 0.0;
-  world.sms_gateway.set_delay_model(sms_model);
-}
-
-// Mirrors bench/common.cc: the Section-5-calibrated channel models.
-void apply_calibrated_models(UserWorld& world) {
-  net::LinkModel im_link;
-  im_link.base_latency = millis(150);
-  im_link.jitter = millis(300);
-  im_link.loss_probability = 0.001;
-  world.bus.set_default_link(im_link);
-
-  email::EmailDelayModel mail;
-  mail.fast_probability = 0.95;
-  mail.fast_median = seconds(20);
-  mail.fast_sigma = 1.0;
-  mail.slow_median = hours(2);
-  mail.slow_sigma = 1.4;
-  mail.loss_probability = 0.003;
-  world.email_server.set_delay_model(mail);
-
-  sms::SmsDelayModel sms_model;
-  sms_model.fast_probability = 0.90;
-  sms_model.fast_median = seconds(18);
-  sms_model.fast_sigma = 0.9;
-  sms_model.slow_median = minutes(45);
-  sms_model.slow_sigma = 1.3;
-  sms_model.loss_probability = 0.01;
-  world.sms_gateway.set_delay_model(sms_model);
-}
-
 core::MabConfig fleet_config(const std::string& owner,
                              const std::string& sms_address,
                              const std::string& email_address,
@@ -137,6 +87,60 @@ core::MabConfig fleet_config(const std::string& owner,
 
 }  // namespace
 
+void apply_channel_models(ModelFidelity fidelity, net::MessageBus& bus,
+                          email::EmailServer& email_server,
+                          sms::SmsGateway& sms_gateway) {
+  net::LinkModel im_link;
+  email::EmailDelayModel mail;
+  sms::SmsDelayModel sms_model;
+  im_link.base_latency = millis(150);
+  if (fidelity == ModelFidelity::kFast) {
+    // IM ~150-350 ms per hop, email seconds, SMS tens of seconds; no
+    // tails and no loss.
+    im_link.jitter = millis(200);
+    im_link.loss_probability = 0.0;
+    mail.fast_probability = 1.0;
+    mail.fast_median = seconds(6);
+    mail.fast_sigma = 0.3;
+    mail.loss_probability = 0.0;
+    sms_model.fast_probability = 1.0;
+    sms_model.fast_median = seconds(12);
+    sms_model.fast_sigma = 0.3;
+    sms_model.loss_probability = 0.0;
+  } else {
+    // IM hop: corporate network + IM service; 150-450 ms per hop gives
+    // the paper's sub-second one-way time over the two-hop path.
+    im_link.jitter = millis(300);
+    im_link.loss_probability = 0.001;
+    // Email: mostly seconds-to-a-minute, 5% multi-hour tail reaching
+    // days, a little silent loss — Section 3.1's "seconds to days".
+    mail.fast_probability = 0.95;
+    mail.fast_median = seconds(20);
+    mail.fast_sigma = 1.0;
+    mail.slow_median = hours(2);
+    mail.slow_sigma = 1.4;
+    mail.loss_probability = 0.003;
+    // SMS: "a similar range of unpredictability" per the paper.
+    sms_model.fast_probability = 0.90;
+    sms_model.fast_median = seconds(18);
+    sms_model.fast_sigma = 0.9;
+    sms_model.slow_median = minutes(45);
+    sms_model.slow_sigma = 1.3;
+    sms_model.loss_probability = 0.01;
+  }
+  bus.set_default_link(im_link);
+  email_server.set_delay_model(mail);
+  sms_gateway.set_delay_model(sms_model);
+}
+
+core::MabOptions calibrated_mab_options() {
+  core::MabOptions options;
+  options.processing_delay = millis(900);
+  options.leak_mb_per_hour = 2.0;
+  options.leak_mb_per_alert = 0.05;
+  return options;
+}
+
 UserWorld::UserWorld(std::uint64_t seed, const UserWorldOptions& options)
     : sim(seed),
       bus(sim),
@@ -165,11 +169,7 @@ UserWorld::UserWorld(std::uint64_t seed, const UserWorldOptions& options)
     }
     bus.set_trace(trace.get());
   }
-  if (options.fidelity == ModelFidelity::kFast) {
-    apply_fast_models(*this);
-  } else {
-    apply_calibrated_models(*this);
-  }
+  apply_channel_models(options.fidelity, bus, email_server, sms_gateway);
   sms_gateway.attach_to(email_server);
   if (options.bus_pending_bound != 0) {
     bus.set_pending_bound(options.bus_pending_bound);
@@ -240,12 +240,10 @@ UserWorld::UserWorld(std::uint64_t seed, const UserWorldOptions& options)
   host_options.config = fleet_config(options.user, user->sms_address(),
                                      user->email_account(),
                                      options.storm_config);
-  host_options.mab_options.overload = options.overload;
   if (options.fidelity == ModelFidelity::kCalibrated) {
-    host_options.mab_options.processing_delay = millis(900);
-    host_options.mab_options.leak_mb_per_hour = 2.0;
-    host_options.mab_options.leak_mb_per_alert = 0.05;
+    host_options.mab_options = calibrated_mab_options();
   }
+  host_options.mab_options.overload = options.overload;
   if (options.faults) {
     gui::FaultProfile flaky;
     flaky.mean_time_to_hang = days(1);

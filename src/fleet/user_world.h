@@ -26,11 +26,20 @@ namespace simba::fleet {
 
 struct WorldState;
 
-/// Delay-model fidelity. Tests want the fast loss-free models of
-/// tests/test_world.h; benches want the Section-5-calibrated models of
-/// bench/common.cc. Both are reproduced here so src/fleet depends on
-/// neither tree.
+/// Delay-model fidelity. Tests want fast loss-free channels; benches
+/// want channels calibrated against the paper's Section 5. This is the
+/// one definition of both: tests/test_world.h and bench/common.cc build
+/// their worlds from it too.
 enum class ModelFidelity { kFast, kCalibrated };
+
+/// Installs the IM-link, email, and SMS delay models of `fidelity`.
+void apply_channel_models(ModelFidelity fidelity, net::MessageBus& bus,
+                          email::EmailServer& email_server,
+                          sms::SmsGateway& sms_gateway);
+
+/// The calibrated MAB behaviour: 900 ms processing per alert and a
+/// leak of 2.0 MB/hour plus 0.05 MB per alert.
+core::MabOptions calibrated_mab_options();
 
 struct UserWorldOptions {
   std::string user = "user";
@@ -51,7 +60,8 @@ struct UserWorldOptions {
   /// injects nothing.
   sim::ChaosScenario chaos;
   /// Builds the per-world InvariantChecker and wires the user's
-  /// sighting feed into it. The chaos workload turns this on.
+  /// sighting feed into it. The workload driver shares one checker
+  /// across epochs through shared_invariants instead.
   bool track_invariants = false;
   /// Builds a util::Trace and arms lifecycle tracing in the bus, the
   /// alert log, and every MAB incarnation. Off by default: the portal

@@ -71,10 +71,10 @@ bool MessageBus::partitioned(const std::string& a,
 }
 
 std::string MessageBus::trace_id(const Message& message) const {
-  // Mirrors the core wire headers (core/alert.cc "alert_id",
-  // core/delivery_engine.h wire::kAckFor). The bus sits below core in
-  // the layering DAG, so the keys are repeated here rather than
-  // included; both ends are pinned by the golden-trace tests.
+  // The core wire headers that name an alert (core/alert.cc
+  // "alert_id", core/delivery_engine.h wire::kAckFor). The bus sits
+  // below core in the layering DAG, so it spells the two keys itself;
+  // both ends are pinned by the golden-trace tests.
   auto it = message.headers.find("alert_id");
   if (it == message.headers.end()) it = message.headers.find("simba_ack_for");
   return it == message.headers.end() ? std::string() : it->second;

@@ -19,9 +19,9 @@
 //     expects them (multi-channel fallback, at-least-once resends);
 //     with duplicates disallowed any repeat sighting is a violation.
 //
-// One checker per world; the chaos fleet workload
-// (src/fleet/chaos_workload.cc) feeds it and folds its report into the
-// shard counters, so violations surface through the deterministic
+// One checker per world; the fleet workload driver (src/fleet/resume.cc)
+// feeds it for the chaos and storm workloads and folds its report into
+// the shard counters, so violations surface through the deterministic
 // merged fleet report.
 #pragma once
 

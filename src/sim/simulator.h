@@ -20,7 +20,7 @@
 // list and append order equals sequence order — the exact
 // (when, sequence) FIFO tie-break of the original binary heap, proven
 // equivalent by tests/scheduler_diff_test.cc against the retained
-// sim::ReferenceScheduler.
+// heap kernel, sim::ReferenceScheduler (tests/reference_scheduler.h).
 #pragma once
 
 #include <array>

@@ -41,7 +41,7 @@ namespace simba::sim {
 /// "SMBA" — identifies any SIMBA snapshot image.
 inline constexpr std::uint32_t kSnapshotMagic = 0x53'4d'42'41u;
 /// Bumped on any incompatible layout change; readers reject mismatches.
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) of `data`.
 std::uint32_t snapshot_crc32(const unsigned char* data, std::size_t size);

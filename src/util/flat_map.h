@@ -592,7 +592,7 @@ class FlatSet {
     return 1;
   }
 
-  /// Key-sorted view, mirroring FlatMap::sorted_items().
+  /// Key-sorted view, the FlatSet counterpart of FlatMap::sorted_items().
   class SortedView {
    public:
     explicit SortedView(const FlatSet& set) {

@@ -492,6 +492,29 @@ TEST(AlertLogTest, PowerLossRebuildsIndexConsistently) {
   EXPECT_EQ(log.unprocessed()[0].id, "mid");
 }
 
+TEST(AlertLogTest, TearFreePowerLossKeepsRecordsForALaterTear) {
+  // A cut that tears nothing must leave every record intact: a later
+  // cut that does tear rebuilds the index from the surviving records,
+  // so their ids must still be there to index.
+  AlertLog log;
+  Rng rng(7);
+  log.append(make_alert("a"), kTimeZero);
+  log.append(make_alert("b"), kTimeZero + seconds(5));
+  EXPECT_TRUE(log.power_loss(kTimeZero + seconds(10), rng, 1.0).empty());
+  ASSERT_EQ(log.unprocessed().size(), 2u);
+  EXPECT_EQ(log.unprocessed()[0].id, "a");
+
+  log.append(make_alert("fresh"), kTimeZero + seconds(20));
+  const auto torn =
+      log.power_loss(kTimeZero + seconds(20) + millis(100), rng, 1.0);
+  ASSERT_EQ(torn.size(), 1u);
+  EXPECT_EQ(torn[0], "fresh");
+  EXPECT_TRUE(log.contains("a"));
+  EXPECT_TRUE(log.contains("b"));
+  EXPECT_FALSE(log.contains("fresh"));
+  EXPECT_EQ(log.size(), 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Profiles and subscriptions
 // ---------------------------------------------------------------------------

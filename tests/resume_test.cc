@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <variant>
 
 #include "fleet/resume.h"
 #include "fleet/storm_workload.h"
@@ -23,32 +24,56 @@
 namespace simba::fleet {
 namespace {
 
-ResumableOptions options_for(ResumeKind kind, std::uint64_t seed,
-                             int epochs = 3) {
+// The workload families of the matrix; the values are the matrix's
+// test-name parameters.
+enum class Kind : std::uint32_t { kPortal = 1, kChaos = 2, kStorm = 3 };
+
+ResumableOptions options_for(Kind kind, std::uint64_t seed, int epochs = 3) {
   ResumableOptions options;
-  options.kind = kind;
-  options.world = testing::fast_fleet_world();
   options.fleet.shards = 2;
   options.fleet.threads = 1;
   options.fleet.base_seed = seed;
   options.epochs = epochs;
-  options.horizon = hours(6);
-  options.drain = hours(1);
-  if (kind != ResumeKind::kPortal) {
-    // Faults across the whole horizon, so some straddle or follow the
-    // checkpoint boundary — the interesting restore cases.
-    options.scenario = sim::ChaosScenario::preset("flaky_network");
-  }
-  if (kind == ResumeKind::kStorm) {
-    // Defenses on: open coalescing windows and token-bucket effects
-    // must survive the checkpoint inside MabHost::State.
-    options.world.overload = storm_defenses();
-    options.background_per_day = 24.0;
-    options.critical_per_day = 48.0;
-    options.sensor_cascades = 2;
-    options.cascade_size = 15;
-    options.poll_bursts = 2;
-    options.burst_size = 20;
+  switch (kind) {
+    case Kind::kPortal: {
+      PortalWorkloadOptions portal;
+      portal.world = testing::fast_fleet_world();
+      portal.alerts_per_user_day = 72.0;
+      portal.horizon = hours(6);
+      portal.drain = hours(1);
+      options.workload = portal;
+      break;
+    }
+    case Kind::kChaos: {
+      ChaosWorkloadOptions chaos;
+      chaos.world = testing::fast_fleet_world();
+      // Faults across the whole horizon, so some straddle or follow the
+      // checkpoint boundary — the interesting restore cases.
+      chaos.scenario = sim::ChaosScenario::preset("flaky_network");
+      chaos.alerts_per_user_day = 72.0;
+      chaos.horizon = hours(6);
+      chaos.drain = hours(1);
+      options.workload = chaos;
+      break;
+    }
+    case Kind::kStorm: {
+      StormWorkloadOptions storm;
+      storm.world = testing::fast_fleet_world();
+      // Defenses on: open coalescing windows and token-bucket effects
+      // must survive the checkpoint inside MabHost::State.
+      storm.world.overload = storm_defenses();
+      storm.scenario = sim::ChaosScenario::preset("flaky_network");
+      storm.horizon = hours(6);
+      storm.drain = hours(1);
+      storm.background_per_day = 24.0;
+      storm.critical_per_day = 48.0;
+      storm.sensor_cascades = 2;
+      storm.cascade_size = 15;
+      storm.poll_bursts = 2;
+      storm.burst_size = 20;
+      options.workload = storm;
+      break;
+    }
   }
   return options;
 }
@@ -94,21 +119,49 @@ void expect_resume_equivalent(const ResumableOptions& options, int k,
 // --- One tier-1 cell per workload kind -------------------------------------
 
 TEST(ResumeEquivalenceTest, ChaosCheckpointRestoresExactly) {
-  expect_resume_equivalent(options_for(ResumeKind::kChaos, 11), 1, "chaos");
+  expect_resume_equivalent(options_for(Kind::kChaos, 11), 1, "chaos");
 }
 
 TEST(ResumeEquivalenceTest, PortalCheckpointRestoresExactly) {
-  expect_resume_equivalent(options_for(ResumeKind::kPortal, 11), 2, "portal");
+  expect_resume_equivalent(options_for(Kind::kPortal, 11), 2, "portal");
+}
+
+TEST(ResumeEquivalenceTest, PortalSourceCheckpointRestoresExactly) {
+  // Library-source portal traffic carries the source-side acks across
+  // the checkpoint for the ack-latency and log-before-ack scoring.
+  ResumableOptions options = options_for(Kind::kPortal, 11);
+  std::get<PortalWorkloadOptions>(options.workload).traffic =
+      Traffic::kSourceIm;
+  expect_resume_equivalent(options, 1, "portal source");
+  const ResumableRun run = run_resumable_fleet(options);
+  EXPECT_GT(run.report.counters.get("alerts.acked"), 0);
+  EXPECT_EQ(run.report.counters.get("conservation.ack_unlogged"), 0);
 }
 
 TEST(ResumeEquivalenceTest, StormCheckpointRestoresExactly) {
-  expect_resume_equivalent(options_for(ResumeKind::kStorm, 11), 1, "storm");
+  expect_resume_equivalent(options_for(Kind::kStorm, 11), 1, "storm");
+}
+
+TEST(ResumeEquivalenceTest, OneEpochIsTheShardEntryPoint) {
+  // run_*_shard is the driver with one epoch: a one-epoch resumable
+  // fleet reproduces a plain fleet of storm shards byte for byte.
+  ResumableOptions options = options_for(Kind::kStorm, 7);
+  options.epochs = 1;
+  const StormWorkloadOptions storm =
+      std::get<StormWorkloadOptions>(options.workload);
+  const FleetReport plain =
+      run_fleet(options.fleet, [&storm](const ShardTask& task) {
+        return run_storm_shard(task, storm);
+      });
+  const ResumableRun resumable = run_resumable_fleet(options);
+  EXPECT_EQ(plain.correctness_json(), resumable.report.correctness_json());
+  EXPECT_EQ(plain.trace.to_jsonl(), resumable.report.trace.to_jsonl());
 }
 
 TEST(ResumeEquivalenceTest, CheckpointingIsObservationOnly) {
   // Cutting an image without stopping must not perturb the run: the
   // encoder only reads the boundary state.
-  const ResumableOptions options = options_for(ResumeKind::kChaos, 23);
+  const ResumableOptions options = options_for(Kind::kChaos, 23);
   const ResumableRun plain = run_resumable_fleet(options);
   ResumeControl cut;
   cut.checkpoint_after_epoch = 1;
@@ -120,7 +173,7 @@ TEST(ResumeEquivalenceTest, CheckpointingIsObservationOnly) {
 }
 
 TEST(ResumeEquivalenceTest, ThreadedResumeMatchesSerial) {
-  ResumableOptions serial = options_for(ResumeKind::kChaos, 31);
+  ResumableOptions serial = options_for(Kind::kChaos, 31);
   serial.fleet.shards = 4;
   ResumableOptions threaded = serial;
   threaded.fleet.threads = 4;
@@ -152,7 +205,7 @@ std::string cut_checkpoint(const ResumableOptions& options, int k) {
 }
 
 TEST(ResumeDecodeTest, TruncatedImageFailsCleanly) {
-  const ResumableOptions options = options_for(ResumeKind::kChaos, 5);
+  const ResumableOptions options = options_for(Kind::kChaos, 5);
   const std::string image = cut_checkpoint(options, 1);
   Counters ckpt;
   for (const std::size_t len :
@@ -166,7 +219,7 @@ TEST(ResumeDecodeTest, TruncatedImageFailsCleanly) {
 }
 
 TEST(ResumeDecodeTest, BitFlippedImageFailsCleanly) {
-  const ResumableOptions options = options_for(ResumeKind::kChaos, 5);
+  const ResumableOptions options = options_for(Kind::kChaos, 5);
   const std::string image = cut_checkpoint(options, 1);
   // A deterministic spread of single-bit flips across the image; every
   // byte is either structural (self-checked) or CRC-covered.
@@ -180,11 +233,11 @@ TEST(ResumeDecodeTest, BitFlippedImageFailsCleanly) {
 }
 
 TEST(ResumeDecodeTest, MismatchedOptionsAreRejected) {
-  const ResumableOptions options = options_for(ResumeKind::kChaos, 5);
+  const ResumableOptions options = options_for(Kind::kChaos, 5);
   const std::string image = cut_checkpoint(options, 1);
 
   ResumableOptions wrong_kind = options;
-  wrong_kind.kind = ResumeKind::kStorm;
+  wrong_kind.workload = StormWorkloadOptions{};
   EXPECT_FALSE(resume_fleet(wrong_kind, image).ok());
 
   ResumableOptions wrong_seed = options;
@@ -192,7 +245,8 @@ TEST(ResumeDecodeTest, MismatchedOptionsAreRejected) {
   EXPECT_FALSE(resume_fleet(wrong_seed, image).ok());
 
   ResumableOptions wrong_shape = options;
-  wrong_shape.alerts_per_user_day = 10.0;
+  std::get<ChaosWorkloadOptions>(wrong_shape.workload).alerts_per_user_day =
+      10.0;
   const auto result = resume_fleet(wrong_shape, image);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.error().find("mismatch"), std::string::npos)
@@ -201,26 +255,27 @@ TEST(ResumeDecodeTest, MismatchedOptionsAreRejected) {
 
 // --- The full matrix (ctest -L slow) ---------------------------------------
 
-class ResumeMatrixTest : public ::testing::TestWithParam<ResumeKind> {};
+class ResumeMatrixTest : public ::testing::TestWithParam<Kind> {};
 
 TEST_P(ResumeMatrixTest, SeedsTimesCheckpointEpochs) {
-  const ResumeKind kind = GetParam();
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const ResumableOptions options = options_for(GetParam(), seed, 4);
     for (const int k : {1, 2, 3}) {
       expect_resume_equivalent(
-          options_for(kind, seed, /*epochs=*/4), k,
-          std::string(to_string(kind)) + "/seed " + std::to_string(seed) +
-              "/checkpoint after epoch " + std::to_string(k));
+          options, k,
+          std::string(workload_name(options.workload)) + "/seed " +
+              std::to_string(seed) + "/checkpoint after epoch " +
+              std::to_string(k));
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, ResumeMatrixTest,
-                         ::testing::Values(ResumeKind::kPortal,
-                                           ResumeKind::kChaos,
-                                           ResumeKind::kStorm),
+                         ::testing::Values(Kind::kPortal, Kind::kChaos,
+                                           Kind::kStorm),
                          [](const auto& info) {
-                           return std::string(to_string(info.param));
+                           return std::string(workload_name(
+                               options_for(info.param, 1).workload));
                          });
 
 }  // namespace
