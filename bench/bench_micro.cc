@@ -122,7 +122,6 @@ void BM_BusRoundTrip(benchmark::State& state) {
   // positive on the const char* assign path at -O2.
   proto.from = std::string("a");
   proto.to = std::string("b");
-  proto.type = std::string("t");
   for (auto _ : state) {
     bus.send(proto);
     sim.run();

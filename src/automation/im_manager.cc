@@ -156,21 +156,21 @@ void ImManager::sanity_check(std::function<void(SanityReport)> done) {
 }
 
 void ImManager::send_im(const std::string& to_user, const std::string& body,
-                        util::FlatMap<std::string, std::string> headers,
+                        net::SimbaFields simba,
                         std::function<void(Status)> done) {
   try {
     // `done` is passed by copy: if the client throws mid-call we still
     // need it for the retry path below.
-    client_.send_im(to_user, body, headers, done);
+    client_.send_im(to_user, body, simba, done);
   } catch (const gui::AutomationError& e) {
     stats().bump("automation_errors");
     log_warn(name(), std::string("send threw: ") + e.what() + "; restarting");
     restart();
     // One retry after the restart; login is in flight, so give it a
     // moment before the attempt.
-    sim_.after(seconds(2), [this, to_user, body, headers, done]() mutable {
+    sim_.after(seconds(2), [this, to_user, body, simba, done]() mutable {
       try {
-        client_.send_im(to_user, body, std::move(headers), done);
+        client_.send_im(to_user, body, std::move(simba), done);
       } catch (const gui::AutomationError& e2) {
         stats().bump("automation_errors");
         if (done) {

@@ -9,6 +9,7 @@
 
 #include "automation/manager.h"
 #include "im/im_client.h"
+#include "net/wire.h"
 
 namespace simba::automation {
 
@@ -37,8 +38,7 @@ class ImManager : public CommunicationManager {
   /// and retrying once. Success means the IM service accepted delivery
   /// to an online recipient.
   void send_im(const std::string& to_user, const std::string& body,
-               util::FlatMap<std::string, std::string> headers,
-               std::function<void(Status)> done);
+               net::SimbaFields simba, std::function<void(Status)> done);
 
   /// Unread sweep for self-stabilization ("unprocessed ... IMs due to
   /// potential loss of new-IM events"). Never throws; automation

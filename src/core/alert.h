@@ -10,6 +10,7 @@
 #include <map>
 #include <string>
 
+#include "net/wire.h"
 #include "util/flat_map.h"
 #include "util/time.h"
 
@@ -27,24 +28,34 @@ struct Alert {
   std::string body;
   bool high_importance = false;
   TimePoint created_at{};
-  /// Unique id assigned at creation; flows end-to-end through IM
-  /// headers / email headers so experiments can trace delivery latency
-  /// and detect duplicates.
+  /// Unique id assigned at creation; flows end-to-end through the
+  /// typed IM fields and the email headers so experiments can trace
+  /// delivery latency and detect duplicates.
   std::string id;
-  /// Ordered: attributes serialise into wire headers in sorted order.
+  /// Ordered: attributes serialise onto the wire in sorted order.
   // simba-lint: ordered
   std::map<std::string, std::string> attributes;
 };
 
 using AlertSink = std::function<void(const Alert&)>;
 
-/// Builds the wire header map an alert travels with. The snapshot
+/// Builds the email header map an alert travels with. The snapshot
 /// codec serialises it via sorted_items(), so the golden wire bytes
 /// match the old ordered map's image.
 util::FlatMap<std::string, std::string> alert_headers(const Alert& alert);
 
-/// Reconstructs an alert from wire headers + body (best effort).
+/// Reconstructs an alert from wire headers + body (best effort: a
+/// missing or unparsable creation time leaves created_at unset).
 Alert alert_from_headers(const util::FlatMap<std::string, std::string>& headers,
                          const std::string& body);
+
+/// The typed IM fields an alert travels with (net/wire.h, kind alert).
+net::SimbaFields alert_im_fields(const Alert& alert);
+
+/// Reconstructs an alert from an alert IM's fields + body.
+Alert alert_from_im(const net::SimbaFields& fields, const std::string& body);
+
+/// The typed IM fields of an application-level ack for `alert_id`.
+net::SimbaFields ack_im_fields(const std::string& alert_id);
 
 }  // namespace simba::core

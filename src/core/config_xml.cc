@@ -32,16 +32,13 @@ std::string format_tod(TimeOfDay tod) {
 Result<TimeOfDay> parse_tod(const std::string& text) {
   const auto parts = split(text, ':');
   if (parts.size() != 2) return make_error("bad time of day: " + text);
-  try {
-    const int hour = std::stoi(parts[0]);
-    const int minute = std::stoi(parts[1]);
-    if (hour < 0 || hour > 23 || minute < 0 || minute > 59) {
-      return make_error("time of day out of range: " + text);
-    }
-    return TimeOfDay::at(hour, minute);
-  } catch (...) {
-    return make_error("bad time of day: " + text);
+  const auto hour = parse_number<int>(parts[0]);
+  const auto minute = parse_number<int>(parts[1]);
+  if (!hour || !minute) return make_error("bad time of day: " + text);
+  if (*hour < 0 || *hour > 23 || *minute < 0 || *minute > 59) {
+    return make_error("time of day out of range: " + text);
   }
+  return TimeOfDay::at(*hour, *minute);
 }
 
 void append_profile_body(xml::Element& parent, const UserProfile& profile) {

@@ -230,12 +230,9 @@ void DeliveryEngine::start_action(std::uint64_t delivery_id,
         action_failed(delivery_id, block_index, "no IM channel");
         return;
       }
-      auto headers = alert_headers(d.alert);
-      headers[wire::kKind] = wire::kKindAlert;
+      net::SimbaFields simba = alert_im_fields(d.alert);
+      simba.requires_ack = action.require_ack;
       if (action.require_ack) {
-        // std::string{} rvalue: sidesteps a GCC 12 -Werror=restrict
-        // false positive on the const char* assign path at -O2.
-        headers[wire::kRequiresAck] = std::string("1");
         // Register the waiter before sending: the ack can beat the
         // send-completion callback.
         ack_waiters_[d.alert.id + "|" + address->value] = delivery_id;
@@ -244,7 +241,7 @@ void DeliveryEngine::start_action(std::uint64_t delivery_id,
       const std::string to_user = address->value;
       const bool require_ack = action.require_ack;
       im_->send_im(
-          to_user, d.alert.subject + "\n" + d.alert.body, std::move(headers),
+          to_user, d.alert.subject + "\n" + d.alert.body, std::move(simba),
           [this, alive = alive_, delivery_id, block_index, to_user, require_ack,
            alert_id = d.alert.id](Status status) {
             if (!*alive) return;
@@ -420,18 +417,15 @@ void DeliveryEngine::finish(std::uint64_t delivery_id, bool delivered,
 }
 
 bool DeliveryEngine::handle_incoming(const im::ImMessage& message) {
-  const auto kind = message.headers.find(wire::kKind);
-  if (kind == message.headers.end() || kind->second != wire::kKindAck) {
-    return false;
-  }
-  const auto ack_for = message.headers.find(wire::kAckFor);
-  if (ack_for == message.headers.end()) return false;
-  const std::string key = ack_for->second + "|" + message.from_user;
+  if (message.simba.kind != net::SimbaKind::kAck) return false;
+  const std::string& ack_for = message.simba.ack_for;
+  if (ack_for.empty()) return false;
+  const std::string key = ack_for + "|" + message.from_user;
   const auto waiter = ack_waiters_.find(key);
   if (waiter == ack_waiters_.end()) {
     stats_.bump("acks.unmatched");
     if (trace_ != nullptr) {
-      trace_->emit(ack_for->second, "delivery", "ack", sim_.now(),
+      trace_->emit(ack_for, "delivery", "ack", sim_.now(),
                    "unmatched ack from " + message.from_user);
     }
     return true;  // it was an ack, just not one we still want

@@ -42,16 +42,6 @@
 
 namespace simba::core {
 
-/// Header keys SIMBA stamps on IM/email traffic.
-namespace wire {
-inline constexpr char kKind[] = "simba_kind";       // alert | ack | command
-inline constexpr char kKindAlert[] = "alert";
-inline constexpr char kKindAck[] = "ack";
-inline constexpr char kKindCommand[] = "command";
-inline constexpr char kRequiresAck[] = "simba_requires_ack";
-inline constexpr char kAckFor[] = "simba_ack_for";  // alert id being acked
-}  // namespace wire
-
 struct DeliveryOutcome {
   bool delivered = false;
   /// The delivery never ran: its priority lane was full and the engine

@@ -1,5 +1,7 @@
 #include "core/delivery_mode.h"
 
+#include <cmath>
+
 #include "util/strings.h"
 #include "xml/xml.h"
 
@@ -52,13 +54,12 @@ Result<DeliveryMode> DeliveryMode::from_element(const xml::Element& root) {
       if (!digits.empty() && (digits.back() == 's' || digits.back() == 'S')) {
         digits.pop_back();
       }
-      try {
-        const double secs = std::stod(digits);
-        if (secs <= 0) return make_error("non-positive block timeout");
-        timeout = seconds(secs);
-      } catch (...) {
+      const auto secs = parse_number<double>(digits);
+      if (!secs || !std::isfinite(*secs)) {
         return make_error("bad block timeout: " + raw_timeout);
       }
+      if (*secs <= 0) return make_error("non-positive block timeout");
+      timeout = seconds(*secs);
     }
     DeliveryBlock& block = mode.add_block(timeout);
     for (const auto& action_el : child->children()) {

@@ -194,12 +194,11 @@ void MyAlertBuddy::pump_im() {
   for (const auto& message : messages) {
     if (!running()) return;  // terminated mid-batch; rest is lost
     if (engine_->handle_incoming(message)) continue;
-    const auto kind = message.headers.find(wire::kKind);
-    if (kind != message.headers.end() && kind->second == wire::kKindCommand) {
+    if (message.simba.kind == net::SimbaKind::kCommand) {
       handle_command(message.body, message.from_user);
       continue;
     }
-    if (kind != message.headers.end() && kind->second == wire::kKindAlert) {
+    if (message.simba.kind == net::SimbaKind::kAlert) {
       handle_alert_im(message);
       continue;
     }
@@ -270,11 +269,11 @@ void MyAlertBuddy::pump_email() {
 // ---------------------------------------------------------------------------
 
 void MyAlertBuddy::handle_alert_im(const im::ImMessage& message) {
-  const Alert alert = alert_from_headers(message.headers, message.body);
+  const Alert alert = alert_from_im(message.simba, message.body);
   stats_.bump("im.alerts_received");
   if (traced()) trace_event(alert.id, "receive", "im from " + message.from_user);
   if (alert_observer_) alert_observer_(alert, sim_.now());
-  const bool wants_ack = message.headers.count(wire::kRequiresAck) > 0;
+  const bool wants_ack = message.simba.requires_ack;
 
   if (options_.pessimistic_logging) {
     const bool fresh = log_.append(alert, sim_.now());
@@ -308,10 +307,7 @@ void MyAlertBuddy::handle_alert_im(const im::ImMessage& message) {
 
 void MyAlertBuddy::send_ack(const std::string& to_user,
                             const std::string& alert_id) {
-  util::FlatMap<std::string, std::string> headers;
-  headers[wire::kKind] = wire::kKindAck;
-  headers[wire::kAckFor] = alert_id;
-  im_.send_im(to_user, "ACK " + alert_id, std::move(headers),
+  im_.send_im(to_user, "ACK " + alert_id, ack_im_fields(alert_id),
               [this, alive = alive_](Status status) {
                 if (!*alive) return;
                 if (!status.ok()) stats_.bump("acks.send_failed");

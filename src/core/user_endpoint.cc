@@ -1,6 +1,6 @@
 #include "core/user_endpoint.h"
 
-#include "core/delivery_engine.h"
+#include "core/alert.h"
 
 #include "util/log.h"
 
@@ -67,13 +67,13 @@ void UserEndpoint::enforce_im_presence() {
 
 void UserEndpoint::pump_im() {
   for (const auto& message : im_client_->fetch_unread()) {
-    const auto id = message.headers.find("alert_id");
-    if (id == message.headers.end()) {
+    const std::string& alert_id = message.simba.alert_id;
+    if (alert_id.empty()) {
       stats_.bump("im.non_alert");
       continue;
     }
     if (at_desk()) {
-      record(id->second, "im", sim_.now());
+      record(alert_id, "im", sim_.now());
       maybe_ack(message, sim_.now());
     } else {
       // The IM pops up on screen; the user sees it when she returns.
@@ -81,8 +81,8 @@ void UserEndpoint::pump_im() {
       stats_.bump("im.seen_on_return");
       sim_.at(
           back,
-          [this, message, id_value = id->second, back] {
-            record(id_value, "im", back);
+          [this, message, back] {
+            record(message.simba.alert_id, "im", back);
             maybe_ack(message, back);
           },
           "user.im_on_return");
@@ -91,19 +91,14 @@ void UserEndpoint::pump_im() {
 }
 
 void UserEndpoint::maybe_ack(const im::ImMessage& message, TimePoint) {
-  if (message.headers.count(wire::kRequiresAck) == 0) return;
-  const auto id = message.headers.find("alert_id");
-  if (id == message.headers.end()) return;
+  if (!message.simba.requires_ack || message.simba.alert_id.empty()) return;
   const Duration reaction =
       rng_.exponential_duration(options_.ack_reaction_mean);
   sim_.after(
       reaction,
-      [this, from = message.from_user, alert_id = id->second] {
-        util::FlatMap<std::string, std::string> headers;
-        headers[wire::kKind] = wire::kKindAck;
-        headers[wire::kAckFor] = alert_id;
+      [this, from = message.from_user, alert_id = message.simba.alert_id] {
         try {
-          im_client_->send_im(from, "ACK " + alert_id, std::move(headers),
+          im_client_->send_im(from, "ACK " + alert_id, ack_im_fields(alert_id),
                               [this](Status status) {
                                 if (!status.ok()) stats_.bump("acks.send_failed");
                               });

@@ -1,5 +1,8 @@
 #include "im/im_client.h"
 
+#include <utility>
+#include <variant>
+
 #include "util/log.h"
 
 namespace simba::im {
@@ -44,44 +47,52 @@ bool ImClientApp::is_logged_in() {
   return logged_in_;
 }
 
-std::uint64_t ImClientApp::send_rpc(const std::string& type,
-                                    util::FlatMap<std::string, std::string> headers,
-                                    std::string body,
+std::uint64_t ImClientApp::send_rpc(net::Payload payload, std::string body,
                                     std::function<void(Status)> done,
-                                    const std::string& timeout_what) {
+                                    const char* what) {
   net::Message m;
   m.from = bus_address_;
   m.to = server_address_;
-  m.type = type;
-  m.headers = std::move(headers);
+  m.payload = std::move(payload);
   m.body = std::move(body);
   const std::uint64_t id = bus_.send(std::move(m));
   PendingRpc rpc;
   rpc.done = std::move(done);
+  rpc.what = what;
+  // (this, id) fits std::function's inline buffer: arming the timeout
+  // allocates nothing.
   rpc.timeout_event = sim().after(
-      config_.rpc_timeout,
-      [this, id, timeout_what] {
-        const auto it = pending_.find(id);
-        if (it == pending_.end()) return;
-        auto done_cb = std::move(it->second.done);
-        pending_.erase(it);
-        stats().bump("rpc_timeouts");
-        if (done_cb) {
-          done_cb(Status::failure(name() + ": " + timeout_what +
-                                  " timed out (service unreachable?)"));
-        }
-      },
+      config_.rpc_timeout, [this, id] { rpc_timed_out(id); },
       rpc_timeout_label_.c_str());
   pending_.emplace(id, std::move(rpc));
   return id;
 }
 
-void ImClientApp::complete_rpc(std::uint64_t request_id, Status status) {
+void ImClientApp::rpc_timed_out(std::uint64_t request_id) {
   const auto it = pending_.find(request_id);
   if (it == pending_.end()) return;
+  auto done_cb = std::move(it->second.done);
+  const char* what = it->second.what;
+  pending_.erase(it);
+  stats().bump("rpc_timeouts");
+  if (done_cb) {
+    done_cb(Status::failure(name() + ": " + what +
+                            " timed out (service unreachable?)"));
+  }
+}
+
+void ImClientApp::complete_rpc(std::uint64_t request_id, Status status) {
+  const auto it = pending_.find(request_id);
+  if (it == pending_.end()) {
+    // A reply to a request that timed out, was failed by a kill, or
+    // was already answered (a duplicated reply).
+    stats().bump("rpc_replies.unmatched");
+    return;
+  }
   if (it->second.timeout_event != 0) sim().cancel(it->second.timeout_event);
   auto done_cb = std::move(it->second.done);
   pending_.erase(it);
+  stats().bump("rpc_replies");
   if (done_cb) done_cb(std::move(status));
 }
 
@@ -91,7 +102,7 @@ void ImClientApp::login(std::function<void(Status)> done) {
     if (done) done(gate);
     return;
   }
-  send_rpc(proto::kLogin, {{"user", user_}}, {},
+  send_rpc(net::ImLogin{user_}, {},
            [this, done = std::move(done)](Status status) {
              if (done) done(std::move(status));
            },
@@ -105,8 +116,7 @@ void ImClientApp::logout() {
   net::Message m;
   m.from = bus_address_;
   m.to = server_address_;
-  m.type = proto::kLogout;
-  m.headers["user"] = user_;
+  m.payload = net::ImLogout{user_};
   bus_.send(std::move(m));
   logged_in_ = false;
   epoch_ = 0;
@@ -122,16 +132,14 @@ void ImClientApp::verify_connection(std::function<void(Status)> done) {
     if (done) done(Status::failure(name() + ": not signed in"));
     return;
   }
-  // Note: an invalid pong flips logged_in_ in handle_bus; a mere RPC
+  // Note: an invalid pong flips logged_in_ (on(ImPong)); a mere RPC
   // timeout does NOT — one lost packet is not evidence of a dropped
   // session, and treating it as one would cause spurious re-logins.
-  send_rpc(proto::kPing,
-           {{"user", user_}, {"epoch", std::to_string(epoch_)}}, {},
-           std::move(done), "ping");
+  send_rpc(net::ImPing{user_, epoch_}, {}, std::move(done), "ping");
 }
 
 void ImClientApp::send_im(const std::string& to_user, const std::string& body,
-                          util::FlatMap<std::string, std::string> headers,
+                          net::SimbaFields simba,
                           std::function<void(Status)> done) {
   const Status gate = begin_operation("send_im");
   if (!gate.ok()) {
@@ -142,13 +150,8 @@ void ImClientApp::send_im(const std::string& to_user, const std::string& body,
     if (done) done(Status::failure(name() + ": not signed in"));
     return;
   }
-  headers["from_user"] = user_;
-  headers["to_user"] = to_user;
-  headers["epoch"] = std::to_string(epoch_);
-  if (headers.find("seq") == headers.end()) {
-    headers["seq"] = user_ + "-" + std::to_string(next_seq_++);
-  }
-  send_rpc(proto::kSend, std::move(headers), body, std::move(done), "send");
+  send_rpc(net::ImSend{user_, to_user, epoch_, next_seq_++, std::move(simba)},
+           body, std::move(done), "send");
 }
 
 std::vector<ImMessage> ImClientApp::fetch_unread() {
@@ -165,52 +168,58 @@ void ImClientApp::handle_bus(const net::Message& m) {
     stats().bump("messages_dropped_while_hung");
     return;
   }
-  if (m.type == proto::kLoginOk) {
-    logged_in_ = true;
-    epoch_ = std::stoull(m.headers.at("epoch"));
-    complete_rpc(std::stoull(m.headers.at("in_reply_to")), Status::success());
-  } else if (m.type == proto::kLoginErr) {
-    complete_rpc(std::stoull(m.headers.at("in_reply_to")),
-                 Status::failure("login rejected: " +
-                                 m.headers.at("reason")));
-  } else if (m.type == proto::kPong) {
-    const bool valid = m.headers.at("valid") == "1";
-    if (!valid) logged_in_ = false;
-    complete_rpc(std::stoull(m.headers.at("in_reply_to")),
-                 valid ? Status::success()
-                       : Status::failure("session invalid"));
-  } else if (m.type == proto::kSendOk) {
-    complete_rpc(std::stoull(m.headers.at("in_reply_to")), Status::success());
-  } else if (m.type == proto::kSendErr) {
-    const std::string reason = m.headers.count("reason")
-                                   ? m.headers.at("reason")
-                                   : "unknown";
-    if (reason == "not logged in") logged_in_ = false;
-    complete_rpc(std::stoull(m.headers.at("in_reply_to")),
-                 Status::failure("send failed: " + reason));
-  } else if (m.type == proto::kDeliver) {
-    ImMessage im;
-    im.from_user = m.headers.at("from_user");
-    im.to_user = m.headers.at("to_user");
-    im.body = m.body;
-    im.seq = m.headers.at("seq");
-    im.headers = m.headers;
-    im.received_at = sim().now();
-    inbox_.push_back(std::move(im));
-    stats().bump("messages_received");
-    // The new-message event can be lost (blocked by a modal dialog or
-    // plain dropped); the message stays unread in the window, where
-    // self-stabilization sweeps will find it.
-    const bool blocked = desktop().any_blocking(name());
-    if (!blocked && !rng().chance(config_.event_loss_probability)) {
-      if (new_message_event_) new_message_event_();
-    } else {
-      stats().bump("new_message_events_lost");
-    }
-  } else if (m.type == proto::kLoggedOut) {
-    logged_in_ = false;
-    stats().bump("logged_out_notices");
+  std::visit([this, &m](const auto& payload) { on(m, payload); }, m.payload);
+}
+
+void ImClientApp::on(const net::Message& m, const net::ImLoginOk& ok) {
+  logged_in_ = true;
+  epoch_ = ok.epoch;
+  complete_rpc(m.in_reply_to, Status::success());
+}
+
+void ImClientApp::on(const net::Message& m, const net::ImLoginErr& err) {
+  complete_rpc(m.in_reply_to, Status::failure("login rejected: " + err.reason));
+}
+
+void ImClientApp::on(const net::Message& m, const net::ImPong& pong) {
+  if (!pong.valid) logged_in_ = false;
+  complete_rpc(m.in_reply_to, pong.valid ? Status::success()
+                                         : Status::failure("session invalid"));
+}
+
+void ImClientApp::on(const net::Message& m, const net::ImSendOk&) {
+  complete_rpc(m.in_reply_to, Status::success());
+}
+
+void ImClientApp::on(const net::Message& m, const net::ImSendErr& err) {
+  if (err.reason == "not logged in") logged_in_ = false;
+  complete_rpc(m.in_reply_to, Status::failure("send failed: " + err.reason));
+}
+
+void ImClientApp::on(const net::Message& m, const net::ImDeliver& deliver) {
+  ImMessage im;
+  im.from_user = deliver.from_user;
+  im.to_user = deliver.to_user;
+  im.body = m.body;
+  im.seq = deliver.seq;
+  im.simba = deliver.simba;
+  im.received_at = sim().now();
+  inbox_.push_back(std::move(im));
+  stats().bump("messages_received");
+  // The new-message event can be lost (blocked by a modal dialog or
+  // plain dropped); the message stays unread in the window, where
+  // self-stabilization sweeps will find it.
+  const bool blocked = desktop().any_blocking(name());
+  if (!blocked && !rng().chance(config_.event_loss_probability)) {
+    if (new_message_event_) new_message_event_();
+  } else {
+    stats().bump("new_message_events_lost");
   }
+}
+
+void ImClientApp::on(const net::Message&, const net::ImLoggedOut&) {
+  logged_in_ = false;
+  stats().bump("logged_out_notices");
 }
 
 }  // namespace simba::im

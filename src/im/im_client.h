@@ -8,6 +8,7 @@
 // exception-handling automation exists to absorb.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <string>
@@ -16,6 +17,7 @@
 #include "gui/client_app.h"
 #include "im/im_server.h"
 #include "net/bus.h"
+#include "net/wire.h"
 #include "util/flat_map.h"
 
 namespace simba::im {
@@ -25,8 +27,8 @@ struct ImMessage {
   std::string from_user;
   std::string to_user;
   std::string body;
-  std::string seq;  // sender-assigned sequence tag (SIMBA uses these)
-  util::FlatMap<std::string, std::string> headers;
+  std::uint64_t seq = 0;  // sender-assigned sequence number
+  net::SimbaFields simba;
   TimePoint received_at{};
 };
 
@@ -69,8 +71,7 @@ class ImClientApp : public gui::ClientApp {
   /// to an online recipient (NOT that the human read it — SIMBA's
   /// application-level acks handle that).
   void send_im(const std::string& to_user, const std::string& body,
-               util::FlatMap<std::string, std::string> headers,
-               std::function<void(Status)> done);
+               net::SimbaFields simba, std::function<void(Status)> done);
 
   /// Drains messages that arrived since the last fetch.
   std::vector<ImMessage> fetch_unread();
@@ -89,14 +90,28 @@ class ImClientApp : public gui::ClientApp {
   struct PendingRpc {
     std::function<void(Status)> done;
     sim::EventId timeout_event = 0;
+    /// What the request was ("login", "ping", "send"), for the
+    /// timeout's error text.
+    const char* what = "";
   };
 
   void handle_bus(const net::Message& m);
+  void on(const net::Message& m, const net::ImLoginOk& ok);
+  void on(const net::Message& m, const net::ImLoginErr& err);
+  void on(const net::Message& m, const net::ImPong& pong);
+  void on(const net::Message& m, const net::ImSendOk& ok);
+  void on(const net::Message& m, const net::ImSendErr& err);
+  void on(const net::Message& m, const net::ImDeliver& deliver);
+  void on(const net::Message& m, const net::ImLoggedOut& note);
+  /// Client-to-server kinds and bare transport messages: not for us.
+  template <typename Payload>
+  void on(const net::Message&, const Payload&) {
+    stats().bump("unknown_messages");
+  }
   void complete_rpc(std::uint64_t request_id, Status status);
-  std::uint64_t send_rpc(const std::string& type,
-                         util::FlatMap<std::string, std::string> headers,
-                         std::string body, std::function<void(Status)> done,
-                         const std::string& timeout_what);
+  void rpc_timed_out(std::uint64_t request_id);
+  std::uint64_t send_rpc(net::Payload payload, std::string body,
+                         std::function<void(Status)> done, const char* what);
 
   net::MessageBus& bus_;
   std::string server_address_;

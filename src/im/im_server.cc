@@ -1,5 +1,8 @@
 #include "im/im_server.h"
 
+#include <utility>
+#include <variant>
+
 #include "util/log.h"
 
 namespace simba::im {
@@ -48,8 +51,7 @@ void ImServer::force_logout(const std::string& user) {
   net::Message note;
   note.from = address_;
   note.to = client;
-  note.type = proto::kLoggedOut;
-  note.headers["user"] = user;
+  note.payload = net::ImLoggedOut{user};
   bus_.send(std::move(note));
 }
 
@@ -72,16 +74,12 @@ void ImServer::arm_session_reset(const std::string& user) {
       [this, user] { force_logout(user); }, "im.session_reset");
 }
 
-void ImServer::reply(const net::Message& to_msg, const std::string& type,
-                     util::FlatMap<std::string, std::string> headers,
-                     std::string body) {
+void ImServer::reply(const net::Message& to_msg, net::Payload payload) {
   net::Message m;
   m.from = address_;
   m.to = to_msg.from;
-  m.type = type;
-  m.headers = std::move(headers);
-  m.headers["in_reply_to"] = std::to_string(to_msg.id);
-  m.body = std::move(body);
+  m.payload = std::move(payload);
+  m.in_reply_to = to_msg.id;
   bus_.send(std::move(m));
 }
 
@@ -91,33 +89,29 @@ void ImServer::handle(const net::Message& m) {
     stats_.bump("ignored_while_down");
     return;
   }
-  if (m.type == proto::kLogin) {
-    handle_login(m);
-  } else if (m.type == proto::kLogout) {
-    const auto it = sessions_.find(m.headers.at("user"));
-    if (it != sessions_.end()) {
-      if (it->second.reset_event != 0) sim_.cancel(it->second.reset_event);
-      sessions_.erase(it);
-    }
-    stats_.bump("logouts");
-  } else if (m.type == proto::kPing) {
-    const auto it = sessions_.find(m.headers.at("user"));
-    const bool valid =
-        it != sessions_.end() &&
-        std::to_string(it->second.epoch) == m.headers.at("epoch");
-    reply(m, proto::kPong, {{"valid", valid ? "1" : "0"}});
-    stats_.bump("pings");
-  } else if (m.type == proto::kSend) {
-    handle_send(m);
-  } else {
-    stats_.bump("unknown_messages");
-  }
+  std::visit([this, &m](const auto& payload) { on(m, payload); }, m.payload);
 }
 
-void ImServer::handle_login(const net::Message& m) {
-  const std::string& user = m.headers.at("user");
+void ImServer::on(const net::Message&, const net::ImLogout& logout) {
+  const auto it = sessions_.find(logout.user);
+  if (it != sessions_.end()) {
+    if (it->second.reset_event != 0) sim_.cancel(it->second.reset_event);
+    sessions_.erase(it);
+  }
+  stats_.bump("logouts");
+}
+
+void ImServer::on(const net::Message& m, const net::ImPing& ping) {
+  const auto it = sessions_.find(ping.user);
+  const bool valid = it != sessions_.end() && it->second.epoch == ping.epoch;
+  reply(m, net::ImPong{valid});
+  stats_.bump("pings");
+}
+
+void ImServer::on(const net::Message& m, const net::ImLogin& login) {
+  const std::string& user = login.user;
   if (!has_account(user)) {
-    reply(m, proto::kLoginErr, {{"reason", "no such account"}});
+    reply(m, net::ImLoginErr{"no such account"});
     stats_.bump("login_rejected");
     return;
   }
@@ -131,37 +125,31 @@ void ImServer::handle_login(const net::Message& m) {
   }
   sessions_[user] = session;
   stats_.bump("logins");
-  reply(m, proto::kLoginOk, {{"epoch", std::to_string(session.epoch)},
-                             {"user", user}});
+  reply(m, net::ImLoginOk{session.epoch});
   arm_session_reset(user);
 }
 
-void ImServer::handle_send(const net::Message& m) {
-  const std::string& from_user = m.headers.at("from_user");
-  const std::string& to_user = m.headers.at("to_user");
-  const auto sender = sessions_.find(from_user);
-  if (sender == sessions_.end() ||
-      std::to_string(sender->second.epoch) != m.headers.at("epoch")) {
-    reply(m, proto::kSendErr, {{"reason", "not logged in"},
-                               {"seq", m.headers.at("seq")}});
+void ImServer::on(const net::Message& m, const net::ImSend& send) {
+  const auto sender = sessions_.find(send.from_user);
+  if (sender == sessions_.end() || sender->second.epoch != send.epoch) {
+    reply(m, net::ImSendErr{"not logged in", send.seq});
     stats_.bump("send_rejected.no_session");
     return;
   }
-  const auto recipient = sessions_.find(to_user);
+  const auto recipient = sessions_.find(send.to_user);
   if (recipient == sessions_.end()) {
-    reply(m, proto::kSendErr,
-          {{"reason", "recipient offline"}, {"seq", m.headers.at("seq")}});
+    reply(m, net::ImSendErr{"recipient offline", send.seq});
     stats_.bump("send_rejected.offline");
     return;
   }
   net::Message out;
   out.from = address_;
   out.to = recipient->second.client_address;
-  out.type = proto::kDeliver;
-  out.headers = m.headers;
+  out.payload =
+      net::ImDeliver{send.from_user, send.to_user, send.seq, send.simba};
   out.body = m.body;
   bus_.send(std::move(out));
-  reply(m, proto::kSendOk, {{"seq", m.headers.at("seq")}});
+  reply(m, net::ImSendOk{send.seq});
   stats_.bump("sends");
 }
 

@@ -12,29 +12,12 @@
 #include <string>
 
 #include "net/bus.h"
+#include "net/wire.h"
 #include "sim/fault.h"
 #include "sim/simulator.h"
 #include "util/flat_map.h"
 
 namespace simba::im {
-
-/// Wire protocol message types, carried over net::MessageBus.
-/// client -> server: im.login, im.logout, im.ping, im.send
-/// server -> client: im.login.ok, im.pong, im.send.ok, im.send.err,
-///                   im.deliver, im.logged_out
-namespace proto {
-inline constexpr char kLogin[] = "im.login";
-inline constexpr char kLoginOk[] = "im.login.ok";
-inline constexpr char kLoginErr[] = "im.login.err";
-inline constexpr char kLogout[] = "im.logout";
-inline constexpr char kPing[] = "im.ping";
-inline constexpr char kPong[] = "im.pong";
-inline constexpr char kSend[] = "im.send";
-inline constexpr char kSendOk[] = "im.send.ok";
-inline constexpr char kSendErr[] = "im.send.err";
-inline constexpr char kDeliver[] = "im.deliver";
-inline constexpr char kLoggedOut[] = "im.logged_out";
-}  // namespace proto
 
 class ImServer {
  public:
@@ -77,11 +60,16 @@ class ImServer {
   };
 
   void handle(const net::Message& m);
-  void handle_login(const net::Message& m);
-  void handle_send(const net::Message& m);
-  void reply(const net::Message& to_msg, const std::string& type,
-             util::FlatMap<std::string, std::string> headers = {},
-             std::string body = {});
+  void on(const net::Message& m, const net::ImLogin& login);
+  void on(const net::Message& m, const net::ImLogout& logout);
+  void on(const net::Message& m, const net::ImPing& ping);
+  void on(const net::Message& m, const net::ImSend& send);
+  /// Server-to-client kinds and bare transport messages: not for us.
+  template <typename Payload>
+  void on(const net::Message&, const Payload&) {
+    stats_.bump("unknown_messages");
+  }
+  void reply(const net::Message& to_msg, net::Payload payload);
   void drop_all_sessions();
   void arm_session_reset(const std::string& user);
 

@@ -1,6 +1,11 @@
 #include "net/bus.h"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
+#include <string>
+#include <string_view>
+#include <variant>
 
 #include "util/log.h"
 
@@ -12,6 +17,20 @@ namespace {
 std::pair<std::string_view, std::string_view> ordered(std::string_view a,
                                                       std::string_view b) {
   return a <= b ? std::make_pair(a, b) : std::make_pair(b, a);
+}
+
+// The simulator event label for an arrival of `kind`
+// (Payload::index()): "net.deliver:<wire name>", built once per
+// process. The labels live until exit, so they outlive every event.
+const char* deliver_label(std::size_t kind) {
+  static const auto labels = [] {
+    std::array<std::string, std::size(kKindNames)> built;
+    for (std::size_t i = 0; i < built.size(); ++i) {
+      built[i] = std::string("net.deliver:") + kKindNames[i];
+    }
+    return built;
+  }();
+  return labels[kind].c_str();
 }
 }  // namespace
 
@@ -70,14 +89,18 @@ bool MessageBus::partitioned(const std::string& a,
   return partitions_.find(ordered(a, b)) != partitions_.end();
 }
 
-std::string MessageBus::trace_id(const Message& message) const {
-  // The core wire headers that name an alert (core/alert.cc
-  // "alert_id", core/delivery_engine.h wire::kAckFor). The bus sits
-  // below core in the layering DAG, so it spells the two keys itself;
-  // both ends are pinned by the golden-trace tests.
-  auto it = message.headers.find("alert_id");
-  if (it == message.headers.end()) it = message.headers.find("simba_ack_for");
-  return it == message.headers.end() ? std::string() : it->second;
+const SimbaFields* Message::simba() const {
+  if (const auto* send = std::get_if<ImSend>(&payload)) return &send->simba;
+  if (const auto* deliver = std::get_if<ImDeliver>(&payload)) {
+    return &deliver->simba;
+  }
+  return nullptr;
+}
+
+const std::string& MessageBus::trace_id(const Message& message) {
+  static const std::string kNone;
+  const SimbaFields* simba = message.simba();
+  return simba == nullptr ? kNone : simba->trace_id();
 }
 
 void MessageBus::trace_event(const Message& message, const char* stage,
@@ -86,9 +109,9 @@ void MessageBus::trace_event(const Message& message, const char* stage,
   // Only alert-correlated traffic: logins, pings, and presence would
   // drown the lifecycle trace (and the golden files) in keepalive
   // noise.
-  std::string id = trace_id(message);
+  const std::string& id = trace_id(message);
   if (id.empty()) return;
-  trace_->emit(std::move(id), "bus", stage, sim_.now(), std::move(detail));
+  trace_->emit(id, "bus", stage, sim_.now(), std::move(detail));
 }
 
 const LinkModel& MessageBus::link_for(std::string_view from,
@@ -97,21 +120,14 @@ const LinkModel& MessageBus::link_for(std::string_view from,
   return it == links_.end() ? default_link_ : it->second;
 }
 
-const char* MessageBus::deliver_label(const std::string& type) {
-  const auto it = deliver_labels_.find(type);
-  if (it != deliver_labels_.end()) return it->second;
-  const char* label = label_interner_.intern("net.deliver:" + type);
-  deliver_labels_.emplace(type, label);
-  return label;
-}
-
 std::uint64_t MessageBus::send(Message message) {
   message.id = next_id_++;
   message.sent_at = sim_.now();
   stats_.bump("sent");
   if (traced(message)) {
     trace_event(message, "send",
-                message.type + " " + message.from + " -> " + message.to);
+                std::string(message.type()) + " " + message.from + " -> " +
+                    message.to);
   }
 
   if (partitioned(message.from, message.to)) {
@@ -152,7 +168,7 @@ std::uint64_t MessageBus::send(Message message) {
       latency += chaos_rng_->lognormal_duration(chaos_.delay_spike.magnitude,
                                                 chaos_.delay_spike.sigma);
       stats_.bump("chaos.delay_spike");
-      if (tracing()) trace_event(message, "delay_spike", message.type);
+      if (tracing()) trace_event(message, "delay_spike", message.type());
     }
     if (chaos_.reorder.active_at(now) &&
         chaos_rng_->chance(chaos_.reorder.probability)) {
@@ -161,7 +177,7 @@ std::uint64_t MessageBus::send(Message message) {
       latency += chaos_rng_->uniform_duration(Duration::zero(),
                                               chaos_.reorder.magnitude);
       stats_.bump("chaos.reorder");
-      if (tracing()) trace_event(message, "reorder", message.type);
+      if (tracing()) trace_event(message, "reorder", message.type());
     }
     if (chaos_.late_loss.active_at(now) &&
         chaos_rng_->chance(chaos_.late_loss.probability)) {
@@ -172,7 +188,7 @@ std::uint64_t MessageBus::send(Message message) {
       // At-least-once transport: a second arrival of the same message
       // (same id) with its own independently-sampled latency.
       stats_.bump("chaos.duplicate");
-      if (tracing()) trace_event(message, "duplicate", message.type);
+      if (tracing()) trace_event(message, "duplicate", message.type());
       schedule_delivery(message, link.sample_latency(*chaos_rng_),
                         /*chaos_late_loss=*/false);
     }
@@ -198,13 +214,13 @@ void MessageBus::recycle_inflight(std::uint32_t slot) {
   // a quiet link is not pinning its last message's body.
   Message& message = inflight_pool_[slot];
   message.body.clear();
-  message.headers.clear();
+  message.payload = std::monostate{};
   inflight_free_.push_back(slot);
 }
 
 void MessageBus::schedule_delivery(Message message, Duration latency,
                                    bool chaos_late_loss) {
-  const char* label = deliver_label(message.type);
+  const char* label = deliver_label(message.payload.index());
   const std::uint32_t slot = acquire_inflight(std::move(message));
   // (this, slot, flag) fits std::function's inline buffer: scheduling
   // an arrival allocates nothing beyond the pooled slot itself.
@@ -241,10 +257,10 @@ void MessageBus::arrive(std::uint32_t slot, bool chaos_late_loss) {
       } else {
         stats_.bump("delivered");
         if (tracing()) {
-          std::string id = trace_id(message);
+          const std::string& id = trace_id(message);
           if (!id.empty()) {
-            trace_->emit(std::move(id), "bus", "deliver", message.sent_at,
-                         sim_.now(), message.type);
+            trace_->emit(id, "bus", "deliver", message.sent_at, sim_.now(),
+                         message.type());
           }
         }
         it->second(message);

@@ -19,10 +19,10 @@
 #include <utility>
 #include <vector>
 
+#include "net/wire.h"
 #include "sim/chaos.h"
 #include "sim/simulator.h"
 #include "util/flat_map.h"
-#include "util/interner.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/trace.h"
@@ -35,22 +35,22 @@ namespace simba::net {
 /// temporary strings.
 using AddressPair = std::pair<std::string, std::string>;
 
-/// An in-flight message. `type` is a protocol discriminator (e.g.
-/// "im.send", "smtp.mail"); `headers` carry protocol fields; `body`
-/// carries the payload.
+/// An in-flight message: a typed per-kind payload (net/wire.h) plus
+/// the transport envelope.
 struct Message {
   std::string from;
   std::string to;
-  std::string type;
   std::string body;
-  /// Header lookups (alert ids, wire kinds, acks) are the hottest
-  /// string probes on the submit→deliver path, and every message
-  /// construction used to pay one tree-node allocation per header.
-  /// The snapshot codec serialises headers via sorted_items(), so the
-  /// wire image stays byte-identical to the old ordered map's.
-  util::FlatMap<std::string, std::string> headers;
+  Payload payload;
+  /// The id of the request this message answers (0: not a reply).
+  std::uint64_t in_reply_to = 0;
   TimePoint sent_at{};
   std::uint64_t id = 0;
+
+  /// The wire name of the payload's kind ("im.ping", ...).
+  const char* type() const { return kind_name(payload); }
+  /// The SIMBA fields of an im.send / im.deliver, else null.
+  const SimbaFields* simba() const;
 };
 
 /// Latency/loss model for one direction of a link.
@@ -128,7 +128,8 @@ class MessageBus {
   std::size_t inflight_free() const { return inflight_free_.size(); }
 
   /// Arms lifecycle tracing (null disables it). Spans are correlated
-  /// to an alert through the message headers, so transit, chaos
+  /// to an alert through the SIMBA trace correlation field of an IM
+  /// send or delivery (SimbaFields::trace_id), so transit, chaos
   /// injections, and drops show up on the alert's timeline.
   void set_trace(util::Trace* trace) { trace_ = trace; }
 
@@ -145,11 +146,12 @@ class MessageBus {
   /// possible) and returns its index.
   std::uint32_t acquire_inflight(Message&& message);
   void recycle_inflight(std::uint32_t slot);
-  /// The alert id a message belongs to ("" for non-alert traffic).
-  std::string trace_id(const Message& message) const;
+  /// The alert a message belongs to ("" for non-alert traffic): the
+  /// SIMBA trace correlation field of an im.send / im.deliver.
+  static const std::string& trace_id(const Message& message);
   /// True when lifecycle tracing is armed. Call sites that build a
   /// detail string must check this first so disabled tracing costs
-  /// nothing (ISSUE satellite: no detail construction when off).
+  /// nothing.
   bool tracing() const { return trace_ != nullptr; }
   /// True when this message would actually emit a span: tracing armed
   /// AND alert-correlated. Keepalive traffic (pings, logins, presence)
@@ -157,14 +159,10 @@ class MessageBus {
   /// string must gate on this — not just tracing() — or every ping
   /// pays string-building for a span trace_event then discards.
   bool traced(const Message& message) const {
-    return trace_ != nullptr && (message.headers.contains("alert_id") ||
-                                 message.headers.contains("simba_ack_for"));
+    return trace_ != nullptr && !trace_id(message).empty();
   }
   void trace_event(const Message& message, const char* stage,
                    std::string detail);
-  /// Stable interned "net.deliver:<type>" label for the simulator
-  /// event, built once per distinct message type.
-  const char* deliver_label(const std::string& type);
 
   sim::Simulator& sim_;
   Rng rng_;
@@ -184,11 +182,6 @@ class MessageBus {
   std::uint64_t next_id_ = 1;
   Counters stats_;
   util::Trace* trace_ = nullptr;
-  /// Event labels handed to the simulator must outlive their events;
-  /// the interner owns them, the cache makes the per-send lookup a
-  /// single allocation-free transparent map probe.
-  util::StringInterner label_interner_;
-  util::FlatMap<std::string, const char*> deliver_labels_;
   /// In-flight message pool (DESIGN.md §13). A message awaiting
   /// arrival lives in a pooled slot so the delivery closure captures
   /// only (this, slot, late_loss) — small enough for std::function's

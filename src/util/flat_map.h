@@ -159,10 +159,10 @@ class FlatMap {
 
   FlatMap() = default;
 
-  /// Wire-header style literal construction: later duplicates win,
+  /// Header-map style literal construction: later duplicates win,
   /// matching `m[k] = v` applied in list order. No up-front reserve:
   /// the first insert grabs all kSmallCap slots at once, which also
-  /// covers the headers a transport layer appends afterwards.
+  /// covers keys appended afterwards.
   FlatMap(std::initializer_list<std::pair<Key, T>> init) {
     for (const auto& [key, value] : init) (*this)[key] = value;
   }

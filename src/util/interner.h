@@ -3,8 +3,8 @@
 // The simulator kernel stores event labels as `const char*` so that
 // scheduling never allocates for the (overwhelmingly common) case of a
 // string-literal label. Call sites that genuinely build a label at
-// runtime — e.g. net::MessageBus's per-message-type delivery label —
-// intern it once and reuse the stable pointer forever after.
+// runtime — e.g. a GUI client's per-instance fault labels — intern it
+// once and reuse the stable pointer forever after.
 //
 // A StringInterner is deliberately per-instance, not global: every
 // fleet shard owns its own component graph (bus, MAB, endpoints), so

@@ -251,17 +251,13 @@ class Parser {
       else if (!entity.empty() && entity[0] == '#') {
         const bool hex =
             entity.size() > 1 && (entity[1] == 'x' || entity[1] == 'X');
-        long code = 0;
-        try {
-          std::size_t consumed = 0;
-          const std::string digits(entity.substr(hex ? 2 : 1));
-          code = std::stol(digits, &consumed, hex ? 16 : 10);
-          if (consumed != digits.size() || code < 0) throw std::exception();
-        } catch (...) {
+        const auto code = parse_number<unsigned long>(
+            entity.substr(hex ? 2 : 1), hex ? 16 : 10);
+        if (!code) {
           return fail("bad numeric entity &" + std::string(entity) + ";");
         }
         // Encode code point as UTF-8.
-        auto cp = static_cast<unsigned long>(code);
+        const unsigned long cp = *code;
         if (cp < 0x80) {
           out += static_cast<char>(cp);
         } else if (cp < 0x800) {

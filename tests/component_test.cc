@@ -7,6 +7,7 @@
 #include "core/digest.h"
 #include "core/mdc.h"
 #include "core/user_endpoint.h"
+#include "net/wire.h"
 #include "test_world.h"
 #include "util/log.h"
 
@@ -274,9 +275,9 @@ TEST(UserEndpointTest, AwayUserSeesImOnlyOnReturn) {
   sender.launch();
   sender.login(nullptr);
   world.sim.run_for(seconds(20));
-  util::FlatMap<std::string, std::string> headers;
-  headers["alert_id"] = "away-1";
-  sender.send_im("u", "hello", headers, nullptr);
+  net::SimbaFields simba;
+  simba.alert_id = "away-1";
+  sender.send_im("u", "hello", simba, nullptr);
   world.sim.run_for(minutes(10));
   EXPECT_FALSE(user.first_seen("away-1").has_value());  // still away
   world.sim.run_until(kTimeZero + hours(2) + minutes(1));

@@ -187,6 +187,47 @@ TEST(AlertTest, FromHeadersTolerant) {
   EXPECT_FALSE(a.high_importance);
 }
 
+TEST(AlertTest, TypedImFieldsRoundTrip) {
+  Alert a;
+  a.source = "aladdin";
+  a.native_category = "Sensor ON";
+  a.subject = "Basement Water Sensor ON";
+  a.high_importance = true;
+  a.created_at = kTimeZero + seconds(5);
+  a.id = "aladdin-1";
+  a.attributes["device"] = "device.basement_water";
+  a.attributes["area"] = "basement";
+  const net::SimbaFields fields = alert_im_fields(a);
+  EXPECT_EQ(fields.kind, net::SimbaKind::kAlert);
+  EXPECT_EQ(fields.trace_id(), "aladdin-1");
+  EXPECT_FALSE(fields.requires_ack);
+  const Alert b = alert_from_im(fields, "water!");
+  EXPECT_EQ(b.source, a.source);
+  EXPECT_EQ(b.native_category, a.native_category);
+  EXPECT_EQ(b.subject, a.subject);
+  EXPECT_EQ(b.body, "water!");
+  EXPECT_TRUE(b.high_importance);
+  EXPECT_EQ(b.created_at, a.created_at);
+  EXPECT_EQ(b.id, a.id);
+  EXPECT_EQ(b.attributes, a.attributes);
+
+  const net::SimbaFields ack = ack_im_fields("aladdin-1");
+  EXPECT_EQ(ack.kind, net::SimbaKind::kAck);
+  EXPECT_EQ(ack.ack_for, "aladdin-1");
+  EXPECT_TRUE(ack.alert_id.empty());
+  EXPECT_EQ(ack.trace_id(), "aladdin-1");
+}
+
+TEST(AlertTest, FromHeadersLeavesUnparsableCreationTimeUnset) {
+  for (const char* created : {"", "garbled", "12abc", "-", "1e6",
+                              "99999999999999999999"}) {
+    const Alert a = alert_from_headers({{"alert_created_us", created}}, "");
+    EXPECT_EQ(a.created_at, TimePoint{}) << created;
+  }
+  const Alert b = alert_from_headers({{"alert_created_us", "-42"}}, "");
+  EXPECT_EQ(b.created_at, TimePoint{Duration{-42}});
+}
+
 // ---------------------------------------------------------------------------
 // Classifier
 // ---------------------------------------------------------------------------

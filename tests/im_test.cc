@@ -71,7 +71,7 @@ TEST_F(ImTest, SendDeliversToOnlineRecipient) {
   ASSERT_EQ(unread.size(), 1u);
   EXPECT_EQ(unread[0].from_user, "alice");
   EXPECT_EQ(unread[0].body, "hi bob");
-  EXPECT_FALSE(unread[0].seq.empty());
+  EXPECT_NE(unread[0].seq, 0u);
   EXPECT_TRUE(bob->fetch_unread().empty());  // drained
 }
 

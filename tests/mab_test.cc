@@ -7,6 +7,7 @@
 #include "core/mab_host.h"
 #include "core/source_endpoint.h"
 #include "core/user_endpoint.h"
+#include "net/wire.h"
 #include "test_world.h"
 
 namespace simba::core {
@@ -97,10 +98,10 @@ struct MabRig {
   }
 
   void send_rejuvenate_command() {
-    util::FlatMap<std::string, std::string> headers;
-    headers[wire::kKind] = wire::kKindCommand;
+    net::SimbaFields command;
+    command.kind = net::SimbaKind::kCommand;
     source->im_manager().send_im(host->im_address(), "SIMBA REJUVENATE",
-                                 headers, nullptr);
+                                 command, nullptr);
   }
 
   World world;
@@ -188,6 +189,33 @@ TEST_F(MabTest, LegacyEmailAlertWithDisplayNameKeywordDelivered) {
   EXPECT_EQ(rig_.user->stats().get("seen_via_email"), 1);
 }
 
+TEST_F(MabTest, SimbaEmailWithUnparsableCreationTimeIsRouted) {
+  // A SIMBA-library mail whose creation stamp is garbled, partly
+  // numeric, or overflows: the alert keeps an unset created_at and is
+  // routed like any other, instead of the parse aborting the pump.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"bad1", "garbled"}, {"bad2", "12abc"}, {"bad3", "99999999999999999999"}};
+  for (const auto& [id, created] : cases) {
+    email::Email mail;
+    mail.from = "aladdin@svc.example.net";
+    mail.to = rig_.host->email_address();
+    const Alert alert = rig_.sensor_alert(id);
+    mail.subject = alert.subject;
+    mail.body = alert.body;
+    mail.headers = alert_headers(alert);
+    mail.headers["alert_created_us"] = created;
+    EXPECT_EQ(alert_from_headers(mail.headers, mail.body).created_at,
+              TimePoint{});
+    ASSERT_TRUE(rig_.world.email_server.submit(std::move(mail)).ok());
+  }
+  rig_.world.sim.run_for(minutes(25));
+  EXPECT_EQ(rig_.host->mab()->stats().get("email.simba_alerts"), 3);
+  for (const auto& [id, created] : cases) {
+    EXPECT_TRUE(rig_.host->alert_log().processed(id)) << id;
+    EXPECT_TRUE(rig_.user->first_seen(id).has_value()) << id;
+  }
+}
+
 TEST_F(MabTest, UnacceptedSourceDropped) {
   email::Email spam;
   spam.from = "spam@random.example";
@@ -255,10 +283,10 @@ TEST_F(MabTest, DigestOnDemandCommand) {
   rig_.source->send_alert(rig_.sensor_alert("muted3", "OFF"));
   rig_.world.sim.run_for(minutes(3));
   ASSERT_EQ(rig_.host->digest().size(), 1u);
-  util::FlatMap<std::string, std::string> headers;
-  headers[wire::kKind] = wire::kKindCommand;
+  net::SimbaFields command;
+  command.kind = net::SimbaKind::kCommand;
   rig_.source->im_manager().send_im(rig_.host->im_address(), "SIMBA DIGEST",
-                                    headers, nullptr);
+                                    command, nullptr);
   rig_.world.sim.run_for(minutes(2));
   EXPECT_GE(rig_.host->mab()->stats().get("commands.digest"), 1);
   EXPECT_EQ(rig_.host->digest().size(), 0u);
@@ -284,17 +312,17 @@ TEST_F(MabTest, SubCategorizationRoutesOnAndOffDifferently) {
 }
 
 TEST_F(MabTest, RemoteCommandDisablesSmsAddress) {
-  util::FlatMap<std::string, std::string> headers;
-  headers[wire::kKind] = wire::kKindCommand;
+  net::SimbaFields command;
+  command.kind = net::SimbaKind::kCommand;
   rig_.source->im_manager().send_im(rig_.host->im_address(),
-                                    "SIMBA DISABLE ADDRESS Cell SMS", headers,
+                                    "SIMBA DISABLE ADDRESS Cell SMS", command,
                                     nullptr);
   rig_.world.sim.run_for(minutes(1));
   EXPECT_FALSE(rig_.host->config().profile.addresses().enabled("Cell SMS"));
   EXPECT_GE(rig_.host->mab()->stats().get("commands.address_toggled"), 1);
   // Re-enable via command too.
   rig_.source->im_manager().send_im(rig_.host->im_address(),
-                                    "SIMBA ENABLE ADDRESS Cell SMS", headers,
+                                    "SIMBA ENABLE ADDRESS Cell SMS", command,
                                     nullptr);
   rig_.world.sim.run_for(minutes(1));
   EXPECT_TRUE(rig_.host->config().profile.addresses().enabled("Cell SMS"));

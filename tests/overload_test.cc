@@ -251,7 +251,6 @@ TEST(BusBoundTest, PendingBoundShedsWithExplicitAccounting) {
     net::Message message;
     message.from = "a";
     message.to = "b";
-    message.type = "t";
     bus.send(std::move(message));
   }
   EXPECT_EQ(bus.stats().get("pending.shed"), 2);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "util/arena.h"
@@ -268,6 +270,25 @@ TEST(StringsTest, TrimAndCase) {
   EXPECT_TRUE(iequals("SIMBA", "simba"));
   EXPECT_FALSE(iequals("SIMBA", "simb"));
   EXPECT_TRUE(icontains("Basement Water Sensor ON", "sensor on"));
+}
+
+TEST(StringsTest, ParseNumberAcceptsOnlyWholeInRangeNumbers) {
+  EXPECT_EQ(parse_number<int>("42"), 42);
+  EXPECT_EQ(parse_number<int>("-7"), -7);
+  EXPECT_EQ(parse_number<long>("1F", 16), 31);
+  EXPECT_EQ(parse_number<std::int64_t>("9223372036854775807"),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_DOUBLE_EQ(parse_number<double>("2.5").value_or(0.0), 2.5);
+  // Empty, garbled, partly numeric, padded, or out of range: nullopt,
+  // never an exception.
+  for (const char* bad : {"", "abc", "12abc", " 7", "7 ", "+7",
+                          "99999999999999999999"}) {
+    EXPECT_FALSE(parse_number<std::int64_t>(bad).has_value()) << bad;
+  }
+  EXPECT_FALSE(parse_number<unsigned long>("-1").has_value());
+  EXPECT_FALSE(parse_number<int>("3000000000").has_value());
+  EXPECT_FALSE(parse_number<double>("1.5s").has_value());
+  EXPECT_FALSE(parse_number<double>("1e999").has_value());
 }
 
 TEST(StringsTest, JoinAndFormat) {

@@ -49,6 +49,12 @@
 //                 when the level is disabled — use SIMBA_LOG_DEBUG /
 //                 SIMBA_LOG_TRACE (util/log.h), which evaluate the
 //                 message expression only when it will be written.
+//   [parse]       the throwing string-to-number conversions
+//                 std::sto{i,l,ll,ul,ull,f,d,ld} are banned in src/:
+//                 garbled or out-of-range input would throw out of
+//                 the event handler that parsed it. Parse with
+//                 simba::parse_number (util/strings.h), a
+//                 std::from_chars wrapper that returns nullopt.
 //   [counters]    every Counters::bump("...") / ::get("...") literal
 //                 must resolve to an entry in the checked-in registry
 //                 src/util/counter_registry.def (name, owning
@@ -74,6 +80,7 @@
 //   [flatmap]     core/ net/ util/ fleet/ —                     —
 //   [trace]       yes                 —                        —
 //   [alloc]       yes                 —                        —
+//   [parse]       yes                 —                        —
 //   [counters]    yes                 yes                      yes
 //   [waiver]      yes                 yes                      yes
 //
@@ -101,7 +108,7 @@ struct Diagnostic {
   int line = 0;      // 1-based
   std::string rule;  // "layer", "include", "determinism", "sync",
                      // "bounded", "flatmap", "trace", "alloc",
-                     // "counters", "waiver"
+                     // "parse", "counters", "waiver"
   std::string message;
   Severity severity = Severity::kError;
 };

@@ -1,5 +1,5 @@
 // The per-line rule families ([layer] direct checks, [determinism],
-// [sync], [bounded], [trace], [alloc]) plus waiver collection and the
+// [sync], [bounded], [trace], [alloc], [parse]) plus waiver collection and the
 // file-local [waiver] audit. Rules read the lexed per-line views:
 // `code` (comments blanked, strings kept) for include directives,
 // `tokens` (comments and strings blanked) for banned-name matching —
@@ -63,6 +63,13 @@ constexpr std::array<std::string_view, 2> kLazyLogCalls{
 constexpr std::array<std::string_view, 2> kAllocCalls{
     "strformat",
     "to_string",
+};
+
+// Throwing string-to-number conversions: garbled or out-of-range input
+// makes them throw out of whatever event handler parsed it.
+constexpr std::array<std::string_view, 8> kThrowingParses{
+    "std::stoi",  "std::stol", "std::stoll", "std::stoul",
+    "std::stoull", "std::stof", "std::stod",  "std::stold",
 };
 
 // Wall-clock sources that must never stamp a lifecycle-trace span.
@@ -409,6 +416,20 @@ void run_line_rules(FileAnalysis& fa, bool with_layer) {
                                         : "SIMBA_LOG_DEBUG") +
                    " (util/log.h) so the message is only built when it "
                    "will be written");
+        }
+      }
+    }
+
+    // [parse] — no input path may throw: numbers parse through the
+    // std::from_chars helper, which reports bad input as nullopt.
+    if (in_src) {
+      for (const std::string_view name : kThrowingParses) {
+        if (contains_token(tokens, name)) {
+          emit(line_no, "parse",
+               "'" + std::string(name) +
+                   "' throws on garbled or out-of-range input; parse with "
+                   "simba::parse_number (util/strings.h, std::from_chars), "
+                   "which returns nullopt instead");
         }
       }
     }

@@ -249,6 +249,38 @@ TEST(SimbaLint, EagerLogMessagesAreFlagged) {
   EXPECT_NE(out.find("3 violation(s)"), std::string::npos) << out;
 }
 
+TEST(SimbaLint, ThrowingNumberParsesAreFlagged) {
+  const LintResult result = lint_fixture("parse");
+  EXPECT_EQ(result.files_scanned, 3);
+  // bad_parse.cc: std::stoi (7), std::stol (8), std::stoull (9), and
+  // the using-declaration that imports std::stod (10). The from_chars
+  // parse, the comment, the string literal, the identifier, and the
+  // member stoi in ok_parse.cc, and tests/, stay clean.
+  ASSERT_EQ(result.diagnostics.size(), 4u);
+  const int lines[] = {7, 8, 9, 10};
+  const char* const names[] = {"std::stoi", "std::stol", "std::stoull",
+                               "std::stod"};
+  for (std::size_t i = 0; i < result.diagnostics.size(); ++i) {
+    const Diagnostic& d = result.diagnostics[i];
+    EXPECT_EQ(d.file, "src/core/bad_parse.cc");
+    EXPECT_EQ(d.rule, "parse");
+    EXPECT_EQ(d.line, lines[i]);
+    EXPECT_NE(d.message.find(std::string("'") + names[i] + "'"),
+              std::string::npos)
+        << d.message;
+  }
+  EXPECT_EQ(format(result.diagnostics[0]),
+            "src/core/bad_parse.cc:7: error: [parse] 'std::stoi' throws on "
+            "garbled or out-of-range input; parse with simba::parse_number "
+            "(util/strings.h, std::from_chars), which returns nullopt "
+            "instead");
+
+  std::string out;
+  EXPECT_EQ(cli({"--root", (std::string(kTestdata) + "/parse").c_str()}, out),
+            1);
+  EXPECT_NE(out.find("4 violation(s)"), std::string::npos) << out;
+}
+
 TEST(SimbaLint, CommentsAndStringsDoNotTrip) {
   const std::vector<Diagnostic> diags = lint_file(
       "src/core/x.cc",
