@@ -148,8 +148,11 @@ FleetReport run_workload_fleet(const std::string& workload,
   });
 }
 
+// The workload is a std::string, not a const char*: gtest prints a
+// pointer parameter with its address, which ASLR moves, and ctest
+// discovery puts the printed parameter into each test's name.
 class WorkloadGoldenTest
-    : public ::testing::TestWithParam<std::tuple<const char*, std::uint64_t>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {
 };
 
 TEST_P(WorkloadGoldenTest, ReportAndTraceMatchGoldenByteForByte) {
