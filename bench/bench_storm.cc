@@ -157,6 +157,8 @@ int main(int argc, char** argv) {
     json.add("digests_emitted", on.counters.get("coalesce.digests_emitted"));
     json.add("invariant_violations", violations);
     json.add("events_processed", events);
+    json.add("trace_spans",
+             static_cast<std::uint64_t>(off.trace.size() + on.trace.size()));
     json.add("wall_seconds", wall);
     json.add("events_per_sec", events_per_sec);
     json.add("peak_rss_bytes", peak_rss_bytes());

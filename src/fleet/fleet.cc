@@ -24,15 +24,28 @@ std::vector<double> delivery_latency_boundaries() {
   return {0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 300.0, 1800.0, 7200.0, 86400.0};
 }
 
+namespace {
+
+void merge_statistics(FleetReport& report, const ShardResult& shard) {
+  report.counters.merge(shard.counters);
+  report.delivery_latency.merge(shard.delivery_latency);
+  report.ack_latency.merge(shard.ack_latency);
+  report.critical_latency.merge(shard.critical_latency);
+  report.delivery_histogram.merge(shard.delivery_histogram);
+  report.events_processed += shard.events_processed;
+  report.shard_wall_seconds.add(shard.wall_seconds);
+}
+
+}  // namespace
+
 void FleetReport::merge_shard(const ShardResult& shard) {
-  counters.merge(shard.counters);
-  delivery_latency.merge(shard.delivery_latency);
-  ack_latency.merge(shard.ack_latency);
-  critical_latency.merge(shard.critical_latency);
-  delivery_histogram.merge(shard.delivery_histogram);
-  events_processed += shard.events_processed;
-  shard_wall_seconds.add(shard.wall_seconds);
+  merge_statistics(*this, shard);
   trace.merge(shard.trace);
+}
+
+void FleetReport::merge_shard(ShardResult&& shard) {
+  merge_statistics(*this, shard);
+  trace.merge(std::move(shard.trace));
 }
 
 namespace {
@@ -136,6 +149,13 @@ std::size_t ShardScheduler::claim() {
   return next_ < shards_ ? next_++ : shards_;
 }
 
+void ShardScheduler::finish(std::size_t shard,
+                            const std::function<void(std::size_t)>& fold) {
+  util::MutexLock lock(mu_);
+  finished_[shard] = true;
+  while (next_fold_ < shards_ && finished_[next_fold_]) fold(next_fold_++);
+}
+
 void ShardScheduler::record_failure(std::exception_ptr error) {
   util::MutexLock lock(mu_);
   if (!first_failure_) first_failure_ = std::move(error);
@@ -149,57 +169,55 @@ void ShardScheduler::rethrow_if_failed() {
 FleetReport run_fleet(const FleetOptions& options, const ShardBody& body) {
   const util::WallTimer fleet_timer;
   const std::size_t n = options.shards;
+  FleetReport report;
+  report.shards = n;
+  report.threads = std::max(1, options.threads);
+  report.base_seed = options.base_seed;
   std::vector<ShardResult> results(n);
+  const auto fold = [&report, &results](std::size_t shard_id) {
+    report.merge_shard(std::move(results[shard_id]));
+  };
 
-  auto run_shard = [&](std::size_t shard_id) {
-    const ShardTask task{shard_id, shard_seed(options.base_seed, shard_id)};
-    const util::WallTimer shard_timer;
-    ShardResult result = body(task);
-    result.shard_id = task.shard_id;
-    result.seed = task.seed;
-    result.wall_seconds = shard_timer.seconds();
-    results[shard_id] = std::move(result);
+  // Work queue: the scheduler hands shards out in claim order; each
+  // worker writes only its own results slot and then lets the scheduler
+  // fold every shard that is next in shard order. A shard body that
+  // throws stops the fleet: the scheduler drains the queue, workers
+  // wind down, and the first exception is rethrown here (after join)
+  // instead of std::terminate()ing a worker thread.
+  ShardScheduler scheduler(n);
+  const auto worker = [&] {
+    while (true) {
+      const std::size_t i = scheduler.claim();
+      if (i >= n) return;
+      try {
+        const ShardTask task{i, shard_seed(options.base_seed, i)};
+        const util::WallTimer shard_timer;
+        ShardResult result = body(task);
+        result.shard_id = task.shard_id;
+        result.seed = task.seed;
+        result.wall_seconds = shard_timer.seconds();
+        results[i] = std::move(result);
+        scheduler.finish(i, fold);
+      } catch (...) {
+        scheduler.record_failure(std::current_exception());
+        return;
+      }
+    }
   };
 
   const int threads =
       static_cast<int>(std::min<std::size_t>(
           n, static_cast<std::size_t>(std::max(1, options.threads))));
   if (threads <= 1) {
-    for (std::size_t i = 0; i < n; ++i) run_shard(i);
+    worker();
   } else {
-    // Work queue: the scheduler hands shards out in claim order; each
-    // worker writes only its own results slot, so the merge below sees
-    // fully-built results after join() with no further synchronisation.
-    // A shard body that throws stops the fleet: the scheduler drains
-    // the queue, workers wind down, and the first exception is
-    // rethrown here after join instead of std::terminate()ing the
-    // worker thread.
-    ShardScheduler scheduler(n);
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      pool.emplace_back([&] {
-        while (true) {
-          const std::size_t i = scheduler.claim();
-          if (i >= n) return;
-          try {
-            run_shard(i);
-          } catch (...) {
-            scheduler.record_failure(std::current_exception());
-            return;
-          }
-        }
-      });
-    }
-    for (auto& worker : pool) worker.join();
-    scheduler.rethrow_if_failed();
+    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
+    for (auto& thread : pool) thread.join();
   }
+  scheduler.rethrow_if_failed();
 
-  FleetReport report;
-  report.shards = n;
-  report.threads = std::max(1, options.threads);
-  report.base_seed = options.base_seed;
-  for (const ShardResult& result : results) report.merge_shard(result);
   report.per_shard = std::move(results);
   report.wall_seconds = fleet_timer.seconds();
   return report;

@@ -57,6 +57,8 @@ struct ShardResult {
   double wall_seconds = 0.0;
   /// Lifecycle trace (empty when the workload ran untraced). Virtual
   /// timestamps only, so it participates in determinism checks.
+  /// run_fleet moves it into FleetReport::trace as it folds the shard,
+  /// so it is empty in FleetReport::per_shard.
   util::Trace trace;
   /// Human-readable invariant-violation report, including each
   /// violating alert's full trace (empty when the contract held).
@@ -81,11 +83,16 @@ struct FleetReport {
   /// Shard traces folded in shard order — bit-identical for any thread
   /// count, like every other merged statistic here.
   util::Trace trace;
+  /// Per-shard results in shard order; run_fleet has moved each trace
+  /// out into `trace` above.
   std::vector<ShardResult> per_shard;
 
   /// Folds one shard in. Callers must fold in shard order to keep the
-  /// merged floating-point statistics scheduling-independent.
+  /// merged floating-point statistics scheduling-independent. The
+  /// rvalue overload moves the shard's trace in (leaving it empty); the
+  /// const one copies it.
   void merge_shard(const ShardResult& shard);
+  void merge_shard(ShardResult&& shard);
 
   /// Deterministic snapshot of every correctness-relevant number —
   /// counters, latency statistics, histogram buckets, per-shard seeds
@@ -99,8 +106,9 @@ struct FleetReport {
 
 struct FleetOptions {
   std::size_t shards = 1;
-  /// <= 1 runs every shard serially on the calling thread; higher
-  /// values use a pool of std::threads pulling shards off a queue.
+  /// <= 1 runs every shard on the calling thread; higher values use a
+  /// pool of std::threads. Either way shards are claimed off one queue
+  /// in shard order.
   int threads = 1;
   std::uint64_t base_seed = 42;
 };
@@ -108,21 +116,32 @@ struct FleetOptions {
 /// Runs one independent per-user world to its horizon and reports.
 using ShardBody = std::function<ShardResult(const ShardTask&)>;
 
-/// Hands shards out to pool workers in claim order and records the
-/// first shard failure. This is the fleet runner's only cross-thread
-/// mutable state (each worker writes results into its own slot), so it
-/// is the lock that Clang's -Wthread-safety checks: both fields are
-/// GUARDED_BY the util::Mutex and only touched under util::MutexLock.
-/// Shard *seeds* never depend on which worker claims which shard, so
+/// Hands shards out to workers in claim order, folds finished shards
+/// in shard order, and records the first shard failure. This is the
+/// fleet runner's only cross-thread mutable state (each worker writes
+/// results into its own slot), so it is the lock that Clang's
+/// -Wthread-safety checks: its fields are GUARDED_BY the util::Mutex
+/// and only touched under util::MutexLock. Shard *seeds* never depend
+/// on which worker claims which shard, and folds run in shard order, so
 /// the merged report stays bit-identical across thread counts.
 class ShardScheduler {
  public:
-  explicit ShardScheduler(std::size_t shards) : shards_(shards) {}
+  explicit ShardScheduler(std::size_t shards)
+      : finished_(shards, false), shards_(shards) {}
 
   /// Next unclaimed shard id, or `shards` when drained. Fails fast: a
   /// recorded failure drains the queue so workers stop claiming new
   /// shards once one shard has thrown.
   std::size_t claim() SIMBA_EXCLUDES(mu_);
+
+  /// Marks `shard` finished, then calls `fold(i)` for each finished
+  /// shard i whose lower-numbered shards are all folded, in shard
+  /// order. `fold` runs under the lock: folds never overlap, happen in
+  /// shard order whichever worker finishes which shard, and each sees
+  /// the result its worker wrote before calling finish().
+  void finish(std::size_t shard,
+              const std::function<void(std::size_t)>& fold)
+      SIMBA_EXCLUDES(mu_);
 
   /// Records the first failure thrown by a shard body (later ones are
   /// dropped; the first is what run_fleet rethrows after join).
@@ -135,14 +154,18 @@ class ShardScheduler {
  private:
   util::Mutex mu_;
   std::size_t next_ SIMBA_GUARDED_BY(mu_) = 0;
+  std::vector<bool> finished_ SIMBA_GUARDED_BY(mu_);
+  std::size_t next_fold_ SIMBA_GUARDED_BY(mu_) = 0;
   std::exception_ptr first_failure_ SIMBA_GUARDED_BY(mu_);
   const std::size_t shards_;
 };
 
 /// Executes `body` once per shard across the pool and merges results
-/// in shard order. The body runs with no shared mutable state between
-/// shards (each builds its own Simulator/World); the runner only hands
-/// it a ShardTask and collects the ShardResult.
+/// in shard order, each as soon as every lower-numbered shard is
+/// merged, moving its trace into the report so no shard trace outlives
+/// its fold. The body runs with no shared mutable state between shards
+/// (each builds its own Simulator/World); the runner only hands it a
+/// ShardTask and collects the ShardResult.
 FleetReport run_fleet(const FleetOptions& options, const ShardBody& body);
 
 }  // namespace simba::fleet

@@ -24,10 +24,19 @@ namespace simba::util {
 /// into a std::deque backing store — the deque never moves a stored
 /// std::string (SSO would otherwise invalidate c_str() on short
 /// strings when a vector reallocates), so pointers stay valid for the
-/// interner's lifetime. Not thread-safe; intended to be owned by a
-/// single-threaded component alongside its Simulator.
+/// interner's lifetime. Moving an interner hands the deque's blocks
+/// over in place, so pointers stay valid across a move too; copying is
+/// deleted, because a copy's index would point into its source. Not
+/// thread-safe; intended to be owned by a single-threaded component
+/// alongside its Simulator.
 class StringInterner {
  public:
+  StringInterner() = default;
+  StringInterner(const StringInterner&) = delete;
+  StringInterner& operator=(const StringInterner&) = delete;
+  StringInterner(StringInterner&&) = default;
+  StringInterner& operator=(StringInterner&&) = default;
+
   /// Returns a stable NUL-terminated pointer to a string equal to
   /// `text`, inserting it on first sight. One hash probe with no
   /// allocation when `text` was seen before.

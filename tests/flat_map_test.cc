@@ -28,6 +28,14 @@
 namespace simba::util {
 namespace {
 
+/// prefix + std::to_string(i), appended piecewise: GCC 12 at -O2 misreads
+/// `numbered("k", i)` as an overlapping memcpy (-Wrestrict).
+std::string numbered(const char* prefix, int i) {
+  std::string out = prefix;
+  out += std::to_string(i);
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // Property tests
 // ---------------------------------------------------------------------------
@@ -130,9 +138,9 @@ TEST(FlatMap, SmallMapModeDefersBucketArrayUntilNinthKey) {
   // array: lookups linearly scan the dense slots, and the first insert
   // reserves all eight slots in one allocation.
   FlatMap<std::string, int> m;
-  for (int i = 0; i < 8; ++i) m["h" + std::to_string(i)] = i;
+  for (int i = 0; i < 8; ++i) m[numbered("h", i)] = i;
   EXPECT_EQ(m.bucket_count(), 0u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(m.at("h" + std::to_string(i)), i);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(m.at(numbered("h", i)), i);
   EXPECT_FALSE(m.contains("absent"));
   EXPECT_EQ(m.erase("h3"), 1u);  // linear-mode erase swap-removes
   EXPECT_EQ(m.erase("h3"), 0u);
@@ -144,7 +152,7 @@ TEST(FlatMap, SmallMapModeDefersBucketArrayUntilNinthKey) {
   EXPECT_GT(m.bucket_count(), 0u);
   for (int i = 0; i < 10; ++i) {
     if (i == 3) continue;
-    EXPECT_EQ(m.at("h" + std::to_string(i)), i) << i;
+    EXPECT_EQ(m.at(numbered("h", i)), i) << i;
   }
   // reserve() within the small cap must not graduate either.
   FlatMap<std::string, int> r;
@@ -156,7 +164,7 @@ TEST(FlatMap, SmallMapModeDefersBucketArrayUntilNinthKey) {
 
 TEST(FlatSet, SmallSetModeDefersBucketArrayUntilNinthKey) {
   FlatSet<std::string> s;
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(s.insert("k" + std::to_string(i)).second);
+  for (int i = 0; i < 8; ++i) EXPECT_TRUE(s.insert(numbered("k", i)).second);
   EXPECT_FALSE(s.insert("k0").second);
   EXPECT_EQ(s.bucket_count(), 0u);
   EXPECT_TRUE(s.contains("k7"));
@@ -176,7 +184,7 @@ TEST(FlatMap, EraseDuringIterationVisitsEveryElementOnce) {
   // value predicate; swap-remove erase must still visit each element
   // exactly once.
   FlatMap<std::string, int> m;
-  for (int i = 0; i < 100; ++i) m["k" + std::to_string(i)] = i;
+  for (int i = 0; i < 100; ++i) m[numbered("k", i)] = i;
   std::vector<int> visited;
   for (auto it = m.begin(); it != m.end();) {
     visited.push_back(it->second);
@@ -213,7 +221,7 @@ TEST(FlatMap, ClearKeepsCapacityAndReserveGrows) {
   m.reserve(500);
   const std::size_t reserved = m.bucket_count();
   EXPECT_GE(reserved * 7, (500 + 1) * 8 / 1);  // enough for 500 at 7/8 load
-  for (int i = 0; i < 500; ++i) m["r" + std::to_string(i)] = i;
+  for (int i = 0; i < 500; ++i) m[numbered("r", i)] = i;
   EXPECT_EQ(m.bucket_count(), reserved);
   m.clear();
   EXPECT_TRUE(m.empty());
@@ -240,7 +248,7 @@ TEST(FlatSet, InsertContainsEraseAndSortedItems) {
 
 TEST(FlatMap, IntegerKeys) {
   FlatMap<std::uint64_t, std::string> m;
-  for (std::uint64_t i = 0; i < 100; ++i) m[i * 1099511628211ull] = "v";
+  for (std::uint64_t i = 0; i < 100; ++i) m.try_emplace(i * 1099511628211ull, "v");
   EXPECT_EQ(m.size(), 100u);
   EXPECT_TRUE(m.contains(0ull));
   EXPECT_TRUE(m.contains(99ull * 1099511628211ull));

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "fleet/fleet.h"
 #include "fleet/portal_workload.h"
@@ -28,14 +31,24 @@ PortalWorkloadOptions fast_workload() {
   return workload;
 }
 
+/// Runs a 4-shard fleet. With `shard_jsonl`, also exports each shard's
+/// own trace from inside its shard body — run_fleet moves the trace
+/// into the merged one as it folds the shard — with each shard writing
+/// only its own slot.
 FleetReport run(std::uint64_t seed, int threads,
-                const PortalWorkloadOptions& workload) {
+                const PortalWorkloadOptions& workload,
+                std::vector<std::string>* shard_jsonl = nullptr) {
   FleetOptions options;
   options.shards = 4;
   options.threads = threads;
   options.base_seed = seed;
-  return run_fleet(options, [&workload](const ShardTask& task) {
-    return run_portal_shard(task, workload);
+  if (shard_jsonl != nullptr) shard_jsonl->assign(options.shards, {});
+  return run_fleet(options, [&workload, shard_jsonl](const ShardTask& task) {
+    ShardResult result = run_portal_shard(task, workload);
+    if (shard_jsonl != nullptr) {
+      (*shard_jsonl)[task.shard_id] = result.trace.to_jsonl();
+    }
+    return result;
   });
 }
 
@@ -60,8 +73,10 @@ class FleetDeterminismTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FleetDeterminismTest, SerialAndParallelReportsAreIdentical) {
   const PortalWorkloadOptions workload = fast_workload();
-  const FleetReport serial = run(GetParam(), 1, workload);
-  const FleetReport parallel = run(GetParam(), 4, workload);
+  std::vector<std::string> serial_jsonl;
+  std::vector<std::string> parallel_jsonl;
+  const FleetReport serial = run(GetParam(), 1, workload, &serial_jsonl);
+  const FleetReport parallel = run(GetParam(), 4, workload, &parallel_jsonl);
 
   // The workload actually did something.
   EXPECT_GT(serial.counters.get("alerts.sent"), 0);
@@ -86,7 +101,11 @@ TEST_P(FleetDeterminismTest, SerialAndParallelReportsAreIdentical) {
         << "shard " << i;
     EXPECT_EQ(s.delivery_histogram.buckets(), p.delivery_histogram.buckets())
         << "shard " << i;
-    EXPECT_EQ(s.trace.to_jsonl(), p.trace.to_jsonl()) << "shard " << i;
+    EXPECT_FALSE(serial_jsonl[i].empty()) << "shard " << i;
+    EXPECT_EQ(serial_jsonl[i], parallel_jsonl[i]) << "shard " << i;
+    // The fold moved each shard's trace into the merged one.
+    EXPECT_TRUE(s.trace.empty()) << "shard " << i;
+    EXPECT_TRUE(p.trace.empty()) << "shard " << i;
   }
 
   // And the merged snapshot is bit-identical, timing excluded.
@@ -156,10 +175,15 @@ TEST(FleetReportTest, MergeShardAggregates) {
   b.delivery_histogram.add(3.0);
   b.events_processed = 7;
   b.wall_seconds = 0.25;
+  a.trace.emit("a-1", "log", "append", kTimeZero);
+  b.trace.emit("b-1", "log", "append", kTimeZero);
 
   FleetReport report;
-  report.merge_shard(a);
-  report.merge_shard(b);
+  report.merge_shard(a);             // copies the trace
+  report.merge_shard(std::move(b));  // moves it
+  EXPECT_EQ(a.trace.size(), 1u);
+  EXPECT_TRUE(b.trace.empty());
+  EXPECT_EQ(report.trace.size(), 2u);
   EXPECT_EQ(report.counters.get("alerts.sent"), 5);
   EXPECT_EQ(report.delivery_latency.count(), 2u);
   EXPECT_DOUBLE_EQ(report.delivery_latency.mean(), 2.0);

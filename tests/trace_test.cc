@@ -14,11 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <utility>
 
 #include "fleet/chaos_workload.h"
 #include "fleet/fleet.h"
@@ -98,6 +100,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GoldenTraceTest,
 
 // --- One small fleet run per workload ---------------------------------------
 
+ChaosWorkloadOptions golden_chaos_workload() {
+  ChaosWorkloadOptions chaos;
+  chaos.world = testing::fast_fleet_world();
+  chaos.scenario = sim::ChaosScenario::flaky_network();
+  chaos.alerts_per_user_day = 24.0;
+  chaos.horizon = hours(2);
+  chaos.drain = minutes(30);
+  return chaos;
+}
+
 // Sized to keep each golden small yet exercise the workload's whole
 // path: two shards (pinning the shard-ordered merge and shard-qualified
 // alert ids) for portal mail and chaos; one storm shard whose tight
@@ -119,12 +131,7 @@ FleetReport run_workload_fleet(const std::string& workload,
     });
   }
   if (workload == "chaos") {
-    ChaosWorkloadOptions chaos;
-    chaos.world = testing::fast_fleet_world();
-    chaos.scenario = sim::ChaosScenario::flaky_network();
-    chaos.alerts_per_user_day = 24.0;
-    chaos.horizon = hours(2);
-    chaos.drain = minutes(30);
+    const ChaosWorkloadOptions chaos = golden_chaos_workload();
     return run_fleet(fleet, [&chaos](const ShardTask& task) {
       return run_chaos_shard(task, chaos);
     });
@@ -206,6 +213,100 @@ TEST(TraceContentTest, CoversEveryTracedComponent) {
   const Summary& deliver = latency.at("delivery.deliver");
   EXPECT_GT(deliver.count(), 0u);
   EXPECT_GE(deliver.percentile(99), deliver.percentile(50));
+}
+
+// --- Merging traces ------------------------------------------------------------
+
+// Real shard traces: the moving fold and the copying fold give the same
+// export and the same per-stage report, and both stay valid once the
+// shard results they came from are gone.
+TEST(TraceMergeTest, MoveMergeMatchesCopyMerge) {
+  const ChaosWorkloadOptions chaos = golden_chaos_workload();
+  util::Trace copied;
+  util::Trace moved;
+  for (std::size_t shard = 0; shard < 3; ++shard) {
+    ShardResult result =
+        run_chaos_shard(ShardTask{shard, shard_seed(1, shard)}, chaos);
+    ASSERT_FALSE(result.trace.empty());
+    copied.merge(result.trace);
+    moved.merge(std::move(result.trace));
+    EXPECT_TRUE(result.trace.empty());
+  }
+  EXPECT_EQ(moved.size(), copied.size());
+  EXPECT_EQ(moved.to_jsonl(), copied.to_jsonl());
+  EXPECT_EQ(moved.stage_report(), copied.stage_report());
+}
+
+/// One shard's spans. Ids and details are longer than std::string's
+/// small-string buffer, so a span left pointing at freed storage reads
+/// freed heap (which ASan reports) rather than a stale inline buffer.
+void emit_shard_spans(util::Trace& trace, int shard) {
+  for (int i = 0; i < 24; ++i) {
+    const std::string id = "storm-shard-" + std::to_string(shard) +
+                           "-alert-" + std::to_string(i % 5);
+    const TimePoint at = kTimeZero + seconds(i);
+    trace.emit(id, "mab", "receive", at,
+               "a detail longer than the small-string buffer, variant " +
+                   std::to_string(i % 3));
+    trace.emit_owned(id, "restored-" + std::to_string(shard % 4), "replay",
+                     at, at + seconds(1));
+  }
+}
+
+// A 64-shard fold by move, in two levels (eight groups of eight, then
+// the groups), so the fold also adopts storage that a group had adopted
+// itself. The final trace takes over 64 shards' string storage, so its
+// list of adopted storage grows several times; every span must still
+// read the text it was emitted with after all sources are destroyed.
+TEST(TraceMergeTest, SixtyFourShardFoldOutlivesItsSources) {
+  util::Trace reference;  // every shard emitted straight into one trace
+  for (int shard = 0; shard < 64; ++shard) emit_shard_spans(reference, shard);
+
+  util::Trace moved;
+  util::Trace copied;
+  for (int group = 0; group < 8; ++group) {
+    util::Trace group_trace;
+    for (int shard = group * 8; shard < group * 8 + 8; ++shard) {
+      util::Trace source;
+      emit_shard_spans(source, shard);
+      copied.merge(source);
+      group_trace.merge(std::move(source));
+    }
+    moved.merge(std::move(group_trace));
+  }
+
+  const std::string expected = reference.to_jsonl();
+  EXPECT_EQ(moved.size(), reference.size());
+  EXPECT_EQ(moved.to_jsonl(), expected);
+  EXPECT_EQ(copied.to_jsonl(), expected);
+  EXPECT_EQ(moved.stage_report(), reference.stage_report());
+  EXPECT_EQ(moved.describe("storm-shard-63-alert-4"),
+            reference.describe("storm-shard-63-alert-4"));
+}
+
+// Copies re-intern, so a copy of a move-merged trace, an assigned copy
+// and a moved-to trace all stay valid after the source is destroyed.
+TEST(TraceMergeTest, CopiesAndMovesOutliveTheirSource) {
+  util::Trace reference;
+  emit_shard_spans(reference, 0);
+  emit_shard_spans(reference, 1);
+  const std::string expected = reference.to_jsonl();
+
+  auto source = std::make_unique<util::Trace>();
+  for (int shard = 0; shard < 2; ++shard) {
+    util::Trace shard_trace;
+    emit_shard_spans(shard_trace, shard);
+    source->merge(std::move(shard_trace));
+  }
+  const util::Trace copy(*source);
+  util::Trace assigned;
+  assigned = *source;
+  const util::Trace moved(std::move(*source));
+  source.reset();
+
+  EXPECT_EQ(copy.to_jsonl(), expected);
+  EXPECT_EQ(assigned.to_jsonl(), expected);
+  EXPECT_EQ(moved.to_jsonl(), expected);
 }
 
 }  // namespace

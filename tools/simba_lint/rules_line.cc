@@ -5,7 +5,9 @@
 // `tokens` (comments and strings blanked) for banned-name matching —
 // so banned names in comments or string literals never trip.
 #include <array>
+#include <string>
 #include <string_view>
+#include <utility>
 
 #include "rules.h"
 
@@ -425,11 +427,15 @@ void run_line_rules(FileAnalysis& fa, bool with_layer) {
     if (in_src) {
       for (const std::string_view name : kThrowingParses) {
         if (contains_token(tokens, name)) {
-          emit(line_no, "parse",
-               "'" + std::string(name) +
-                   "' throws on garbled or out-of-range input; parse with "
-                   "simba::parse_number (util/strings.h, std::from_chars), "
-                   "which returns nullopt instead");
+          // Appended piecewise: GCC 12's -O2 -Wrestrict misreads the
+          // "'" + std::string(name) + ... chain as an overlapping memcpy.
+          std::string message = "'";
+          message += name;
+          message +=
+              "' throws on garbled or out-of-range input; parse with "
+              "simba::parse_number (util/strings.h, std::from_chars), "
+              "which returns nullopt instead";
+          emit(line_no, "parse", std::move(message));
         }
       }
     }
