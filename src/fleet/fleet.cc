@@ -24,28 +24,16 @@ std::vector<double> delivery_latency_boundaries() {
   return {0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 300.0, 1800.0, 7200.0, 86400.0};
 }
 
-namespace {
-
-void merge_statistics(FleetReport& report, const ShardResult& shard) {
-  report.counters.merge(shard.counters);
-  report.delivery_latency.merge(shard.delivery_latency);
-  report.ack_latency.merge(shard.ack_latency);
-  report.critical_latency.merge(shard.critical_latency);
-  report.delivery_histogram.merge(shard.delivery_histogram);
-  report.events_processed += shard.events_processed;
-  report.shard_wall_seconds.add(shard.wall_seconds);
-}
-
-}  // namespace
-
-void FleetReport::merge_shard(const ShardResult& shard) {
-  merge_statistics(*this, shard);
-  trace.merge(shard.trace);
-}
-
-void FleetReport::merge_shard(ShardResult&& shard) {
-  merge_statistics(*this, shard);
+void FleetReport::merge_shard(ShardResult shard) {
+  counters.merge(shard.counters);
+  delivery_latency.merge(shard.delivery_latency);
+  ack_latency.merge(shard.ack_latency);
+  critical_latency.merge(shard.critical_latency);
+  delivery_histogram.merge(shard.delivery_histogram);
+  events_processed += shard.events_processed;
+  shard_wall_seconds.add(shard.wall_seconds);
   trace.merge(std::move(shard.trace));
+  per_shard.push_back(std::move(shard));
 }
 
 namespace {
@@ -173,6 +161,7 @@ FleetReport run_fleet(const FleetOptions& options, const ShardBody& body) {
   report.shards = n;
   report.threads = std::max(1, options.threads);
   report.base_seed = options.base_seed;
+  report.per_shard.reserve(n);
   std::vector<ShardResult> results(n);
   const auto fold = [&report, &results](std::size_t shard_id) {
     report.merge_shard(std::move(results[shard_id]));
@@ -218,7 +207,6 @@ FleetReport run_fleet(const FleetOptions& options, const ShardBody& body) {
   }
   scheduler.rethrow_if_failed();
 
-  report.per_shard = std::move(results);
   report.wall_seconds = fleet_timer.seconds();
   return report;
 }

@@ -57,8 +57,8 @@ struct ShardResult {
   double wall_seconds = 0.0;
   /// Lifecycle trace (empty when the workload ran untraced). Virtual
   /// timestamps only, so it participates in determinism checks.
-  /// run_fleet moves it into FleetReport::trace as it folds the shard,
-  /// so it is empty in FleetReport::per_shard.
+  /// FleetReport::merge_shard moves it into FleetReport::trace, so it
+  /// is empty in FleetReport::per_shard.
   util::Trace trace;
   /// Human-readable invariant-violation report, including each
   /// violating alert's full trace (empty when the contract held).
@@ -83,16 +83,16 @@ struct FleetReport {
   /// Shard traces folded in shard order — bit-identical for any thread
   /// count, like every other merged statistic here.
   util::Trace trace;
-  /// Per-shard results in shard order; run_fleet has moved each trace
-  /// out into `trace` above.
+  /// Per-shard results in shard order, each with its trace moved out
+  /// into `trace` above.
   std::vector<ShardResult> per_shard;
 
-  /// Folds one shard in. Callers must fold in shard order to keep the
-  /// merged floating-point statistics scheduling-independent. The
-  /// rvalue overload moves the shard's trace in (leaving it empty); the
-  /// const one copies it.
-  void merge_shard(const ShardResult& shard);
-  void merge_shard(ShardResult&& shard);
+  /// Folds one shard in: merges its statistics, moves its trace into
+  /// `trace`, and appends the rest to `per_shard`. Callers must fold in
+  /// shard order to keep the merged floating-point statistics
+  /// scheduling-independent. Pass an rvalue to fold without copying the
+  /// trace.
+  void merge_shard(ShardResult shard);
 
   /// Deterministic snapshot of every correctness-relevant number —
   /// counters, latency statistics, histogram buckets, per-shard seeds

@@ -179,11 +179,12 @@ TEST(FleetReportTest, MergeShardAggregates) {
   b.trace.emit("b-1", "log", "append", kTimeZero);
 
   FleetReport report;
-  report.merge_shard(a);             // copies the trace
-  report.merge_shard(std::move(b));  // moves it
-  EXPECT_EQ(a.trace.size(), 1u);
-  EXPECT_TRUE(b.trace.empty());
+  report.merge_shard(a);
+  report.merge_shard(b);
   EXPECT_EQ(report.trace.size(), 2u);
+  ASSERT_EQ(report.per_shard.size(), 2u);
+  EXPECT_EQ(report.per_shard[1].events_processed, 7u);
+  EXPECT_TRUE(report.per_shard[1].trace.empty());
   EXPECT_EQ(report.counters.get("alerts.sent"), 5);
   EXPECT_EQ(report.delivery_latency.count(), 2u);
   EXPECT_DOUBLE_EQ(report.delivery_latency.mean(), 2.0);

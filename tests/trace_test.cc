@@ -309,6 +309,32 @@ TEST(TraceMergeTest, CopiesAndMovesOutliveTheirSource) {
   EXPECT_EQ(moved.to_jsonl(), expected);
 }
 
+// A moved-from trace, by construction or by assignment, is empty and
+// takes new spans like a fresh one: components may still hold a Trace*
+// to it and emit while their world tears down.
+TEST(TraceMergeTest, MovedFromTraceIsEmptyAndReusable) {
+  util::Trace reference;
+  emit_shard_spans(reference, 2);
+
+  util::Trace source;
+  emit_shard_spans(source, 1);
+  const util::Trace constructed(std::move(source));
+  EXPECT_TRUE(source.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(source.size(), 0u);
+  EXPECT_TRUE(source.spans().empty());
+  EXPECT_EQ(source.to_jsonl(), "");
+  emit_shard_spans(source, 2);
+  EXPECT_EQ(source.to_jsonl(), reference.to_jsonl());
+
+  util::Trace assigned;
+  assigned = std::move(source);
+  EXPECT_TRUE(source.empty());  // NOLINT(bugprone-use-after-move)
+  emit_shard_spans(source, 2);
+  EXPECT_EQ(source.to_jsonl(), reference.to_jsonl());
+  EXPECT_EQ(assigned.to_jsonl(), reference.to_jsonl());
+  EXPECT_EQ(constructed.size(), reference.size());
+}
+
 }  // namespace
 }  // namespace simba::fleet
 
