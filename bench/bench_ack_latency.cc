@@ -8,21 +8,20 @@
 // MAB acks -> source engine completes), and ablate the log-write cost
 // to show where the extra half second over the one-way time goes.
 #include "common.h"
+#include "fleet/user_world.h"
 
 using namespace simba;
 using namespace simba::bench;
 
 namespace {
 
-Summary run_ack_measurement(std::uint64_t seed, int n, bool logging,
-                            Duration log_write_latency) {
+Summary run_ack_measurement(std::uint64_t seed, int n, bool logging) {
   ExperimentWorld world(seed);
   core::MabHostOptions host_options;
-  host_options.mab_options = experiment_mab_options();
+  host_options.mab_options = fleet::calibrated_mab_options();
   host_options.mab_options.pessimistic_logging = logging;
+  // The pessimistic log write itself keeps AlertLog's default 250 ms.
   Cast cast(world, std::move(host_options));
-  // AlertLog's write latency is a host property; default is 250 ms.
-  (void)log_write_latency;  // documented: fixed at AlertLog default
 
   auto source = cast.make_source(world, "aladdin");
   Rng rng = world.sim.make_rng("workload");
@@ -50,13 +49,13 @@ Summary run_ack_measurement(std::uint64_t seed, int n, bool logging,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options options = Options::parse(argc, argv);
+  const Options options = Options::parse(argc, argv, {"--n"});
   const int n = options.n > 0 ? options.n : 300;
 
   const Summary with_logging =
-      run_ack_measurement(options.seed, n, /*logging=*/true, millis(250));
+      run_ack_measurement(options.seed, n, /*logging=*/true);
   const Summary without_logging =
-      run_ack_measurement(options.seed, n, /*logging=*/false, millis(0));
+      run_ack_measurement(options.seed, n, /*logging=*/false);
 
   print_header(
       "E2: source-visible acknowledgement latency",

@@ -20,7 +20,7 @@ using namespace simba;
 using namespace simba::bench;
 
 int main(int argc, char** argv) {
-  const Options options = Options::parse(argc, argv);
+  const Options options = Options::parse(argc, argv, {"--n"});
   const int n = options.n > 0 ? options.n : 100;
 
   ExperimentWorld world(options.seed);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common.h"
+#include "fleet/user_world.h"
 
 using namespace simba;
 using namespace simba::bench;
@@ -47,7 +48,7 @@ RunResult run(std::uint64_t seed, const Config& config) {
   world.im_server.set_session_reset_mtbf(days(2));
 
   core::MabHostOptions host_options;
-  host_options.mab_options = experiment_mab_options();
+  host_options.mab_options = fleet::calibrated_mab_options();
   host_options.mab_options.pessimistic_logging = config.logging;
   host_options.mab_options.self_stabilization = config.stabilization;
   host_options.nightly_rejuvenation = config.rejuvenation;
@@ -138,7 +139,7 @@ RunResult run(std::uint64_t seed, const Config& config) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options options = Options::parse(argc, argv);
+  const Options options = Options::parse(argc, argv, {});
 
   print_header("E8: fault-tolerance ablation (accelerated one-week run)",
                "\"the fault-tolerance techniques ... are crucial and "

@@ -21,7 +21,8 @@ using namespace simba;
 using namespace simba::bench;
 
 int main(int argc, char** argv) {
-  const Options options = Options::parse(argc, argv);
+  const Options options =
+      Options::parse(argc, argv, {"--n", "--users", "--threads"});
   const int users = options.users > 0 ? options.users : 16;
   const int seeds = options.n > 0 ? options.n : 3;
   const int threads = std::max(1, options.threads);

@@ -20,8 +20,8 @@
 #include <map>
 
 #include "common.h"
-#include "resumable.h"
-#include "sim/chaos.h"
+#include "fleet/user_world.h"
+#include "sim/fault.h"
 #include "util/log.h"
 
 using namespace simba;
@@ -67,7 +67,7 @@ MonthResult run_month(std::uint64_t seed, bool with_ups,
   world.im_server.set_session_reset_mtbf(days(7));
 
   core::MabHostOptions host_options;
-  host_options.mab_options = experiment_mab_options();
+  host_options.mab_options = fleet::calibrated_mab_options();
   host_options.im_client_profile = buddy_im_client_profile();
   host_options.email_client_profile = buddy_email_client_profile();
   host_options.im_client_config.event_loss_probability = 0.02;
@@ -227,27 +227,7 @@ void print_month(const char* label, const MonthResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options options = Options::parse(argc, argv);
-
-  // --epochs / --checkpoint-every / --resume-from: a resumable month —
-  // the chaos fleet over a 30-day horizon with daily epoch boundaries,
-  // each boundary a planned crash-restart (the simulator sibling of
-  // the paper's nightly rejuvenation). The bespoke month replay below
-  // is untouched when no checkpoint flag is given.
-  if (resumable_mode(options)) {
-    fleet::ChaosWorkloadOptions month;
-    month.world.fidelity = fleet::ModelFidelity::kFast;
-    month.world.email_check_interval = minutes(15);
-    month.scenario = sim::ChaosScenario::preset("flaky_network");
-    month.horizon = hours(24 * 30);
-    month.drain = hours(6);
-    month.alerts_per_user_day = 24.0;
-    fleet::ResumableOptions resumable;
-    resumable.workload = month;
-    resumable.fleet.shards = 2;
-    resumable.epochs = 30;  // one boundary per simulated night
-    return run_resumable_bench("fault_month", options, resumable);
-  }
+  const Options options = Options::parse(argc, argv, {"--n"});
 
   print_header("E6: one-month fault-injection log",
                "5 IM downtimes (4-103 min), 9 re-logons, 9 client "

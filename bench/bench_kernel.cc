@@ -28,7 +28,7 @@ using namespace simba;
 using namespace simba::bench;
 
 int main(int argc, char** argv) {
-  const Options options = Options::parse(argc, argv);
+  const Options options = Options::parse(argc, argv, {"--n", "--json"});
   const std::uint64_t one_shot_events =
       options.n > 0 ? static_cast<std::uint64_t>(options.n) : 2000000;
 

@@ -12,35 +12,32 @@
 // correctness counters are identical for every thread count — compare
 // `--threads 1` against `--threads $(nproc)` to see the speedup with
 // the same delivered/lost/duplicate numbers.
+//
+// Every run goes through the resumable fleet driver (fleet/resume.h).
+// The default single epoch is exactly run_fleet over run_portal_shard;
+// --epochs N splits the day at N - 1 planned crash-restarts, and
+// --checkpoint-every / --stop-at-checkpoint / --checkpoint-path /
+// --resume-from cut a checkpoint image and finish it in another
+// process (tools/resume_roundtrip.py byte-compares the two).
 #include <algorithm>
+#include <fstream>
+#include <sstream>
 
 #include "common.h"
-#include "fleet/portal_workload.h"
-#include "resumable.h"
+#include "fleet/resume.h"
 
 using namespace simba;
 using namespace simba::bench;
 
 int main(int argc, char** argv) {
-  const Options options = Options::parse(argc, argv);
-
-  // --epochs / --checkpoint-every / --resume-from: the resumable
-  // portal fleet (fleet/resume.h) instead of the one-shot replay.
-  // Fast loss-free models keep the cross-process round-trip ctest
-  // (tools/resume_roundtrip.py) sub-second; the legacy calibrated
-  // path below is untouched when no checkpoint flag is given.
-  if (resumable_mode(options)) {
-    fleet::PortalWorkloadOptions portal;
-    portal.world.fidelity = fleet::ModelFidelity::kFast;
-    portal.world.email_check_interval = minutes(15);
-    portal.world.trace = true;
-    portal.alerts_per_user_day = 72.0;
-    portal.horizon = hours(8);
-    portal.drain = hours(2);
-    fleet::ResumableOptions resumable;
-    resumable.workload = portal;
-    resumable.fleet.shards = 4;
-    return run_resumable_bench("portal_scale", options, resumable);
+  const Options options = Options::parse(
+      argc, argv,
+      {"--n", "--users", "--threads", "--trace-jsonl", "--json", "--epochs",
+       "--checkpoint-every", "--stop-at-checkpoint", "--checkpoint-path",
+       "--resume-from"});
+  if (options.epochs < 1) {
+    std::fprintf(stderr, "%s: --epochs must be at least 1\n", argv[0]);
+    return 2;
   }
 
   const int users =
@@ -58,16 +55,71 @@ int main(int argc, char** argv) {
   // the correctness numbers are unchanged either way.
   workload.world.trace = true;
 
-  fleet::FleetOptions fleet_options;
-  fleet_options.shards = static_cast<std::size_t>(users);
-  fleet_options.threads = threads;
-  fleet_options.base_seed = options.seed;
+  fleet::ResumableOptions resumable;
+  resumable.workload = workload;
+  resumable.fleet.shards = static_cast<std::size_t>(users);
+  resumable.fleet.threads = threads;
+  resumable.fleet.base_seed = options.seed;
+  resumable.epochs = options.epochs;
+  fleet::ResumeControl control;
+  control.checkpoint_after_epoch = options.checkpoint_every;
+  control.stop_at_checkpoint = options.stop_at_checkpoint;
 
-  const fleet::FleetReport report = fleet::run_fleet(
-      fleet_options, [&workload](const fleet::ShardTask& task) {
-        return fleet::run_portal_shard(task, workload);
-      });
+  // A malformed or mismatched checkpoint image is a clean nonzero
+  // exit, never UB.
+  Counters ckpt;
+  fleet::ResumableRun run;
+  if (options.resume_from.empty()) {
+    run = fleet::run_resumable_fleet(resumable, control, &ckpt);
+  } else {
+    std::ifstream in(options.resume_from, std::ios::binary);
+    if (!in) {
+      std::fprintf(stderr, "cannot read checkpoint %s\n",
+                   options.resume_from.c_str());
+      return 1;
+    }
+    std::ostringstream image;
+    image << in.rdbuf();
+    Result<fleet::ResumableRun> resumed =
+        fleet::resume_fleet(resumable, image.str(), control, &ckpt);
+    if (!resumed.ok()) {
+      std::fprintf(stderr, "resume failed: %s\n", resumed.error().c_str());
+      return 1;
+    }
+    run = std::move(resumed).take();
+  }
+  if (!run.checkpoint.empty() && !options.checkpoint_path.empty()) {
+    std::ofstream out(options.checkpoint_path,
+                      std::ios::binary | std::ios::trunc);
+    if (!(out << run.checkpoint)) {
+      std::fprintf(stderr, "cannot write checkpoint %s\n",
+                   options.checkpoint_path.c_str());
+      return 1;
+    }
+  }
 
+  JsonReport json;
+  json.add("bench", std::string("bench_portal_scale"));
+  json.add("scheduler", std::string(sim::Simulator::kScheduler));
+  json.add("seed", static_cast<std::int64_t>(options.seed));
+  json.add("users", users);
+  json.add("threads", threads);
+  json.add("epochs", options.epochs);
+  json.add("completed", run.completed ? 1 : 0);
+  json.add("checkpoint_bytes",
+           static_cast<std::int64_t>(run.checkpoint.size()));
+  json.add("ckpt_saved", ckpt.get("ckpt.saved"));
+  json.add("ckpt_restored", ckpt.get("ckpt.restored"));
+  if (!run.completed) {
+    print_section("E9: stopped at the checkpoint");
+    print_row("checkpoint image", "-",
+              strformat("%zu bytes after epoch %d of %d",
+                        run.checkpoint.size(), options.checkpoint_every,
+                        options.epochs));
+    return options.json.empty() || json.write_to(options.json) ? 0 : 1;
+  }
+
+  const fleet::FleetReport& report = run.report;
   const std::int64_t sent = report.counters.get("alerts.sent");
   const std::int64_t delivered = report.counters.get("alerts.delivered");
 
@@ -130,12 +182,6 @@ int main(int argc, char** argv) {
   std::printf("%s", report.render().c_str());
 
   if (!options.json.empty()) {
-    JsonReport json;
-    json.add("bench", std::string("bench_portal_scale"));
-    json.add("scheduler", std::string(sim::Simulator::kScheduler));
-    json.add("seed", static_cast<std::int64_t>(options.seed));
-    json.add("users", users);
-    json.add("threads", threads);
     json.add("alerts_sent", sent);
     json.add("alerts_delivered", delivered);
     json.add("alerts_lost", report.counters.get("alerts.lost"));
@@ -144,6 +190,7 @@ int main(int argc, char** argv) {
     json.add("wall_seconds", report.wall_seconds);
     json.add("events_per_sec", events_per_sec);
     json.add("peak_rss_bytes", peak_rss_bytes());
+    json.add("correctness", report.correctness_json());
     if (!json.write_to(options.json)) return 1;
   }
   return 0;

@@ -14,6 +14,7 @@
 // checks). Reported: on-time delivery at several deadlines, messages
 // per alert (irritation), duplicates the user had to discard.
 #include "common.h"
+#include "fleet/user_world.h"
 #include "core/baseline.h"
 
 using namespace simba;
@@ -134,7 +135,7 @@ StrategyResult run_legacy(std::uint64_t seed, const Workload& workload,
 StrategyResult run_simba(std::uint64_t seed, const Workload& workload) {
   ExperimentWorld world(seed);
   core::MabHostOptions host_options;
-  host_options.mab_options = experiment_mab_options();
+  host_options.mab_options = fleet::calibrated_mab_options();
   Cast cast(world, std::move(host_options), busy_user(seed));
   auto source = cast.make_source(world, "aladdin", seconds(45));
 
@@ -177,7 +178,7 @@ void print_strategy(const StrategyResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options options = Options::parse(argc, argv);
+  const Options options = Options::parse(argc, argv, {"--n"});
   const int n = options.n > 0 ? options.n : 250;
   const Workload workload = make_workload(n);
 

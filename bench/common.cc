@@ -2,8 +2,10 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <string_view>
@@ -15,16 +17,10 @@ namespace simba::bench {
 
 namespace {
 
-constexpr const char* kUsage =
-    "usage: %s [--seed N] [--n N] [--users N] [--threads N]\n"
-    "       [--trace-jsonl PATH] [--json PATH] [--epochs N]\n"
-    "       [--checkpoint-every N] [--stop-at-checkpoint]\n"
-    "       [--checkpoint-path PATH] [--resume-from PATH]\n";
-
-[[noreturn]] void usage_error(const char* program,
+[[noreturn]] void usage_error(const char* program, const std::string& usage,
                               const std::string& problem) {
-  std::fprintf(stderr, "%s: %s\n", program, problem.c_str());
-  std::fprintf(stderr, kUsage, program);
+  std::fprintf(stderr, "%s: %s\n%s\n", program, problem.c_str(),
+               usage.c_str());
   std::exit(2);
 }
 
@@ -40,9 +36,69 @@ std::optional<std::uint64_t> parse_count(std::string_view text,
   return value;
 }
 
+/// The standard experiment config: the fleet config plus the paper's
+/// other sources (Aladdin, WISH, the desktop assistant, the proxied
+/// web sources, WSJ mail), the SmsFirst and ImOnly modes, and the
+/// category aggregation the paper describes.
+core::MabConfig standard_config(const std::string& owner,
+                                const std::string& sms_address,
+                                const std::string& email_address) {
+  using namespace core;
+  MabConfig config = fleet::fleet_config(owner, sms_address, email_address,
+                                         /*storm_config=*/false);
+  DeliveryMode sms_first("SmsFirst");
+  sms_first.add_block(minutes(2)).actions.push_back(
+      DeliveryAction{"Cell SMS", false});
+  sms_first.add_block(minutes(2)).actions.push_back(
+      DeliveryAction{"Home email", false});
+  config.profile.define_mode(sms_first);
+  DeliveryMode im_only("ImOnly");
+  im_only.add_block(seconds(45)).actions.push_back(
+      DeliveryAction{"MSN IM", true});
+  config.profile.define_mode(im_only);
+
+  for (const char* source :
+       {"aladdin", "wish", "desktop.assistant", "alert.proxy.election",
+        "alert.proxy.ps2", "alert.proxy.community"}) {
+    config.classifier.add_rule(
+        SourceRule{source, KeywordLocation::kNativeCategory, {}, ""});
+  }
+  config.classifier.add_rule(SourceRule{
+      "wsj@news.example", KeywordLocation::kSubject, {"Financial news"}, ""});
+
+  for (const auto& [keyword, category] :
+       {std::pair{"Sensor ON", "Home Emergency"},
+        {"Sensor DISARM", "Home Emergency"},
+        {"Sensor ARM", "Home Emergency"},
+        {"Sensor OFF", "Home Routine"},
+        {"Sensor Broken", "Home Maintenance"},
+        {"Location", "Tracking"},
+        {"Important Email", "Work Urgent"},
+        {"Reminder", "Work Urgent"},
+        {"Election", "News"},
+        {"PlayStation2", "Shopping"},
+        {"Community Photos", "Friends"},
+        {"Financial news", "Investment"}}) {
+    config.categories.map_keyword(keyword, category);
+  }
+
+  for (const auto& [category, mode] :
+       {std::pair{"Home Emergency", "Urgent"},
+        {"Home Routine", "Casual"},
+        {"Home Maintenance", "Casual"},
+        {"Tracking", "Urgent"},
+        {"Work Urgent", "SmsFirst"},
+        {"Shopping", "Urgent"},
+        {"Friends", "Casual"}}) {
+    config.subscriptions.subscribe(category, owner, mode);
+  }
+  return config;
+}
+
 }  // namespace
 
-Options Options::parse(int argc, char** argv) {
+Options Options::parse(int argc, char** argv,
+                       std::initializer_list<std::string_view> accepted) {
   Options options;
   const char* program = argc > 0 ? argv[0] : "bench";
   const std::pair<std::string_view, int*> counts[] = {
@@ -56,6 +112,19 @@ Options Options::parse(int argc, char** argv) {
       {"--json", &options.json},
       {"--checkpoint-path", &options.checkpoint_path},
       {"--resume-from", &options.resume_from}};
+  const auto is_text = [&texts](std::string_view flag) {
+    return std::any_of(std::begin(texts), std::end(texts),
+                       [flag](const auto& text) { return text.first == flag; });
+  };
+  std::string usage = std::string("usage: ") + program + " [--seed N]";
+  for (const std::string_view flag : accepted) {
+    usage += " [" + std::string(flag);
+    if (flag != "--stop-at-checkpoint") {
+      usage += is_text(flag) ? " PATH" : " N";
+    }
+    usage += "]";
+  }
+
   for (int i = 1; i < argc; ++i) {
     // "--flag=value" or "--flag value".
     std::string_view flag = argv[i];
@@ -64,7 +133,14 @@ Options Options::parse(int argc, char** argv) {
       value = flag.substr(eq + 1);
       flag = flag.substr(0, eq);
     }
-    if (flag == "--stop-at-checkpoint" && !value) {
+    if (flag != "--seed" &&
+        std::find(accepted.begin(), accepted.end(), flag) == accepted.end()) {
+      usage_error(program, usage, "unknown flag " + std::string(argv[i]));
+    }
+    if (flag == "--stop-at-checkpoint") {
+      if (value) {
+        usage_error(program, usage, "--stop-at-checkpoint takes no value");
+      }
       options.stop_at_checkpoint = true;
       continue;
     }
@@ -77,11 +153,11 @@ Options Options::parse(int argc, char** argv) {
       if (flag == name) text = field;
     }
     if (count == nullptr && text == nullptr && flag != "--seed") {
-      usage_error(program, "unknown flag " + std::string(argv[i]));
+      usage_error(program, usage, "unknown flag " + std::string(argv[i]));
     }
     if (!value) {
       if (i + 1 == argc) {
-        usage_error(program, std::string(flag) + " needs a value");
+        usage_error(program, usage, std::string(flag) + " needs a value");
       }
       value = argv[++i];
     }
@@ -93,8 +169,9 @@ Options Options::parse(int argc, char** argv) {
         *value, count != nullptr ? std::numeric_limits<int>::max()
                                  : std::numeric_limits<std::uint64_t>::max());
     if (!number) {
-      usage_error(program, "bad value '" + std::string(*value) + "' for " +
-                               std::string(flag));
+      usage_error(program, usage,
+                  "bad value '" + std::string(*value) + "' for " +
+                      std::string(flag));
     }
     if (count != nullptr) {
       *count = static_cast<int>(*number);
@@ -172,10 +249,6 @@ ExperimentWorld::ExperimentWorld(std::uint64_t seed)
   sms_gateway.attach_to(email_server);
 }
 
-core::MabOptions experiment_mab_options() {
-  return fleet::calibrated_mab_options();
-}
-
 gui::FaultProfile buddy_im_client_profile() {
   gui::FaultProfile profile;
   // Hangs needing kill+restart: ~9/month (paper).
@@ -210,86 +283,6 @@ gui::FaultProfile buddy_email_client_profile() {
   return profile;
 }
 
-core::MabConfig standard_config(const std::string& owner,
-                                const std::string& sms_address,
-                                const std::string& email_address) {
-  using namespace core;
-  MabConfig config;
-  config.profile = UserProfile(owner);
-  auto& book = config.profile.addresses();
-  book.put(Address{"MSN IM", CommType::kIm, owner, true});
-  book.put(Address{"Cell SMS", CommType::kSms, sms_address, true});
-  book.put(Address{"Home email", CommType::kEmail, email_address, true});
-
-  DeliveryMode urgent("Urgent");
-  urgent.add_block(seconds(30)).actions.push_back(
-      DeliveryAction{"MSN IM", true});
-  urgent.add_block(minutes(2)).actions.push_back(
-      DeliveryAction{"Cell SMS", false});
-  urgent.add_block(minutes(2)).actions.push_back(
-      DeliveryAction{"Home email", false});
-  config.profile.define_mode(urgent);
-  DeliveryMode casual("Casual");
-  casual.add_block(minutes(2)).actions.push_back(
-      DeliveryAction{"Home email", false});
-  config.profile.define_mode(casual);
-  DeliveryMode sms_first("SmsFirst");
-  sms_first.add_block(minutes(2)).actions.push_back(
-      DeliveryAction{"Cell SMS", false});
-  sms_first.add_block(minutes(2)).actions.push_back(
-      DeliveryAction{"Home email", false});
-  config.profile.define_mode(sms_first);
-  DeliveryMode im_only("ImOnly");
-  im_only.add_block(seconds(45)).actions.push_back(
-      DeliveryAction{"MSN IM", true});
-  config.profile.define_mode(im_only);
-
-  config.classifier.add_rule(
-      SourceRule{"aladdin", KeywordLocation::kNativeCategory, {}, ""});
-  config.classifier.add_rule(
-      SourceRule{"wish", KeywordLocation::kNativeCategory, {}, ""});
-  config.classifier.add_rule(SourceRule{
-      "desktop.assistant", KeywordLocation::kNativeCategory, {}, ""});
-  config.classifier.add_rule(SourceRule{
-      "alert.proxy.election", KeywordLocation::kNativeCategory, {}, ""});
-  config.classifier.add_rule(SourceRule{
-      "alert.proxy.ps2", KeywordLocation::kNativeCategory, {}, ""});
-  config.classifier.add_rule(SourceRule{
-      "alert.proxy.community", KeywordLocation::kNativeCategory, {}, ""});
-  config.classifier.add_rule(SourceRule{"alerts@yahoo.example",
-                                        KeywordLocation::kSenderName,
-                                        {"Stocks", "Weather", "Sports"},
-                                        "http://alerts.yahoo.example"});
-  config.classifier.add_rule(SourceRule{
-      "wsj@news.example", KeywordLocation::kSubject, {"Financial news"}, ""});
-
-  config.categories.map_keyword("Sensor ON", "Home Emergency");
-  config.categories.map_keyword("Sensor DISARM", "Home Emergency");
-  config.categories.map_keyword("Sensor ARM", "Home Emergency");
-  config.categories.map_keyword("Sensor OFF", "Home Routine");
-  config.categories.map_keyword("Sensor Broken", "Home Maintenance");
-  config.categories.map_keyword("Location", "Tracking");
-  config.categories.map_keyword("Important Email", "Work Urgent");
-  config.categories.map_keyword("Reminder", "Work Urgent");
-  config.categories.map_keyword("Election", "News");
-  config.categories.map_keyword("PlayStation2", "Shopping");
-  config.categories.map_keyword("Community Photos", "Friends");
-  config.categories.map_keyword("Stocks", "Investment");
-  config.categories.map_keyword("Financial news", "Investment");
-
-  auto& subs = config.subscriptions;
-  subs.subscribe("Home Emergency", owner, "Urgent");
-  subs.subscribe("Home Routine", owner, "Casual");
-  subs.subscribe("Home Maintenance", owner, "Casual");
-  subs.subscribe("Tracking", owner, "Urgent");
-  subs.subscribe("Work Urgent", owner, "SmsFirst");
-  subs.subscribe("News", owner, "Urgent");
-  subs.subscribe("Shopping", owner, "Urgent");
-  subs.subscribe("Friends", owner, "Casual");
-  subs.subscribe("Investment", owner, "Casual");
-  return config;
-}
-
 Cast::Cast(ExperimentWorld& world, core::MabHostOptions host_options,
            core::UserEndpointOptions user_options) {
   if (user_options.name == "user") user_options.name = "victor";
@@ -308,7 +301,7 @@ Cast::Cast(ExperimentWorld& world, core::MabHostOptions host_options,
   }
   if (host_options.mab_options.processing_delay == Duration::zero() &&
       host_options.mab_options.leak_mb_per_hour == 0.0) {
-    host_options.mab_options = experiment_mab_options();
+    host_options.mab_options = fleet::calibrated_mab_options();
   }
   host = std::make_unique<core::MabHost>(world.sim, world.bus,
                                          world.im_server, world.email_server,

@@ -13,8 +13,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -31,15 +33,12 @@
 
 namespace simba::bench {
 
-/// Command-line: --seed, --n (workload size), --users, --threads,
-/// --trace-jsonl, and --json, each accepted as "--flag=V" or
-/// "--flag V", in any order. An unknown flag, or a missing,
-/// unparsable, or negative value, prints usage and exits with status
-/// 2, so no flag is ever silently misread. The checkpoint/resume flags
-/// switch the benches that support them (bench_portal_scale,
-/// bench_fault_month) into the resumable fleet driver
-/// (fleet/resume.h); without any of them the legacy single-run output
-/// is byte-identical to before.
+/// Command-line: --seed plus the flags a bench declares it reads,
+/// each accepted as "--flag=V" or "--flag V", in any order. A flag the
+/// bench does not declare, or a missing, unparsable, or negative value,
+/// prints the bench's usage and exits with status 2, so no flag is ever
+/// silently ignored or misread. The checkpoint/resume flags belong to
+/// bench_portal_scale only.
 struct Options {
   std::uint64_t seed = 42;
   int n = 0;        // 0 = bench-specific default
@@ -52,10 +51,9 @@ struct Options {
   /// JsonReport the bench builds) to this path.
   std::string json;
 
-  // --- Checkpoint / resume (resumable benches only) -------------------------
-  /// > 0: run the resumable driver with this many epochs instead of
-  /// the bench's legacy single run.
-  int epochs = 0;
+  // --- Checkpoint / resume (bench_portal_scale) -----------------------------
+  /// Epochs of the resumable fleet driver (fleet/resume.h).
+  int epochs = 1;
   /// > 0: cut a checkpoint image once this many epochs have completed
   /// (fleet::ResumeControl::checkpoint_after_epoch).
   int checkpoint_every = 0;
@@ -68,7 +66,10 @@ struct Options {
   /// "C" leg of the round-trip.
   std::string resume_from;
 
-  static Options parse(int argc, char** argv);
+  /// `accepted` lists the flags the bench reads besides --seed, e.g.
+  /// {"--n", "--json"}.
+  static Options parse(int argc, char** argv,
+                       std::initializer_list<std::string_view> accepted);
 };
 
 /// Peak resident set size of this process so far, in bytes (Linux
@@ -121,15 +122,6 @@ struct Cast {
   std::unique_ptr<core::UserEndpoint> user;
   std::unique_ptr<core::MabHost> host;
 };
-
-/// Standard user config: addresses, Urgent/Casual/SmsFirst modes,
-/// classifier rules for all five source types, category aggregation.
-core::MabConfig standard_config(const std::string& owner,
-                                const std::string& sms_address,
-                                const std::string& email_address);
-
-/// Default MAB behavioral knobs for experiments (processing delay etc.).
-core::MabOptions experiment_mab_options();
 
 /// Mildly flaky client profile for the buddy's desktop, calibrated for
 /// the one-month fault log (experiment E6).

@@ -24,6 +24,8 @@ sim::OutagePlan drop_finished(const sim::OutagePlan& plan, TimePoint now) {
   return filtered;
 }
 
+}  // namespace
+
 core::MabConfig fleet_config(const std::string& owner,
                              const std::string& sms_address,
                              const std::string& email_address,
@@ -66,7 +68,7 @@ core::MabConfig fleet_config(const std::string& owner,
   auto& subs = config.subscriptions;
   subs.subscribe("Cat", owner, "Urgent");
   subs.subscribe("Investment", owner, "Casual");
-  subs.subscribe("News", owner, "Casual");
+  subs.subscribe("News", owner, "Urgent");
 
   if (storm_config) {
     // Storm plumbing (DESIGN.md §14): Aladdin sensor cascades ride the
@@ -84,8 +86,6 @@ core::MabConfig fleet_config(const std::string& owner,
   }
   return config;
 }
-
-}  // namespace
 
 void apply_channel_models(ModelFidelity fidelity, net::MessageBus& bus,
                           email::EmailServer& email_server,

@@ -41,6 +41,18 @@ void apply_channel_models(ModelFidelity fidelity, net::MessageBus& bus,
 /// leak of 2.0 MB/hour plus 0.05 MB per alert.
 core::MabOptions calibrated_mab_options();
 
+/// The one MyAlertBuddy configuration: the owner's IM/SMS/email
+/// address book, the Urgent and Casual delivery modes, the
+/// SIMBA-library source ("src") and Yahoo! portal-mail classifier
+/// rules, and their categories and subscriptions. `storm_config` adds
+/// the storm plumbing (UserWorldOptions::storm_config). Every fleet
+/// world runs this; bench/common.cc extends it with the paper's other
+/// sources for E1-E8.
+core::MabConfig fleet_config(const std::string& owner,
+                             const std::string& sms_address,
+                             const std::string& email_address,
+                             bool storm_config);
+
 struct UserWorldOptions {
   std::string user = "user";
   ModelFidelity fidelity = ModelFidelity::kCalibrated;

@@ -2,40 +2,19 @@
 // Sanity-Checking API's verify_connection (ping -> pong over the typed
 // wire protocol, DESIGN.md §17) must allocate nothing once warm.
 //
-// This binary replaces the global operator new/delete with counting
-// malloc/free wrappers; no other target links this file.
+// This binary links counting_allocator.cc, which replaces the global
+// operator new/delete with counting malloc/free wrappers.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
+#include "counting_allocator.h"
 #include "gui/client_app.h"
 #include "gui/desktop.h"
 #include "im/im_client.h"
 #include "im/im_server.h"
 #include "net/bus.h"
 #include "sim/simulator.h"
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-
-void* counted_alloc(std::size_t size) {
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace simba::im {
 namespace {
@@ -76,9 +55,9 @@ TEST(ImAllocTest, KeepaliveRoundTripIsAllocationFree) {
   ASSERT_EQ(ok, warm_up);
 
   constexpr int kRoundTrips = 1000;
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = counted_allocations();
   for (int i = 0; i < kRoundTrips; ++i) round_trip();
-  const std::uint64_t allocations = g_allocations.load() - before;
+  const std::uint64_t allocations = counted_allocations() - before;
 
   EXPECT_EQ(ok, warm_up + kRoundTrips);
   EXPECT_EQ(server.stats().get("pings"), warm_up + kRoundTrips);

@@ -3,37 +3,16 @@
 // id and detail the trace has already seen allocates nothing; the only
 // allocations left are the span store's chunks.
 //
-// This binary replaces the global operator new/delete with counting
-// malloc/free wrappers; no other target links this file.
+// This binary links counting_allocator.cc, which replaces the global
+// operator new/delete with counting malloc/free wrappers.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <string>
 
+#include "counting_allocator.h"
 #include "util/time.h"
 #include "util/trace.h"
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-
-void* counted_alloc(std::size_t size) {
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace simba::util {
 namespace {
@@ -50,7 +29,7 @@ TEST(TraceAllocTest, ReEmittingSeenStringsAllocatesNothingWithinAChunk) {
                    kDetail);
 
   // The first chunk has room for the rest of its spans.
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = counted_allocations();
   for (std::size_t i = 2; i < SpanStore::kChunk; ++i) {
     const TimePoint at = kTimeZero + seconds(static_cast<std::int64_t>(i));
     if (i % 2 == 0) {
@@ -59,7 +38,7 @@ TEST(TraceAllocTest, ReEmittingSeenStringsAllocatesNothingWithinAChunk) {
       trace.emit_owned(kAlertId, "restored", "replay", at, at, kDetail);
     }
   }
-  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(counted_allocations() - before, 0u);
   EXPECT_EQ(trace.size(), SpanStore::kChunk);
 }
 
@@ -68,11 +47,11 @@ TEST(TraceAllocTest, TenThousandEmitsAllocateOnlyForChunkGrowth) {
   trace.emit(kAlertId, "mab", "coalesce", kTimeZero, kDetail);
 
   constexpr int kEmits = 10'000;
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = counted_allocations();
   for (int i = 0; i < kEmits; ++i) {
     trace.emit(kAlertId, "mab", "coalesce", kTimeZero + seconds(i), kDetail);
   }
-  const std::uint64_t allocations = g_allocations.load() - before;
+  const std::uint64_t allocations = counted_allocations() - before;
   // 9 new chunks of 1,024 spans and 4 growths of the chunk list (to 2,
   // 4, 8 and 16 entries) make 13. Copying both strings into every span
   // made 20,000.
